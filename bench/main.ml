@@ -894,7 +894,7 @@ let parallel_speedup () =
   if not identical then failwith "parallel determinism violated on c5"
 
 (* ------------------------------------------------------------------ *)
-(* Incremental SA evaluation: identity (c1/c5) + c5 speed gate         *)
+(* c5 single-thread floorplan speed gate                               *)
 (* ------------------------------------------------------------------ *)
 
 (* The committed single-thread c5 floorplan throughput immediately
@@ -907,88 +907,45 @@ let parallel_speedup () =
    it could misfire. *)
 let pre_incremental_c5_moves_per_s = 28_880.0
 
-let incremental_check () =
-  printf "%s@."
-    (T.section "Incremental SA evaluation: identity (c1/c5, jobs 1) + c5 speed gate");
-  let identical (a : Hidap.result) (b : Hidap.result) =
-    List.length a.Hidap.placements = List.length b.Hidap.placements
-    && List.for_all2
-         (fun (x : Hidap.macro_placement) (y : Hidap.macro_placement) ->
-           x.Hidap.fid = y.Hidap.fid
-           && x.Hidap.orient = y.Hidap.orient
-           && x.Hidap.rect = y.Hidap.rect)
-         a.Hidap.placements b.Hidap.placements
+let floorplan_speed_check () =
+  printf "%s@." (T.section "c5 single-thread floorplan speed gate");
+  let c = match Circuitgen.Suite.find "c5" with Some c -> c | None -> assert false in
+  let flat = Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
+  let config = { Hidap.Config.default with Hidap.Config.jobs = 1 } in
+  Obs.Perf.reset Obs.Perf.global;
+  Obs.Perf.set_enabled true;
+  Obs.Trace.start ();
+  Fun.protect
+    ~finally:(fun () -> Obs.Perf.set_enabled false)
+    (fun () -> ignore (Hidap.place ~config flat));
+  let spans = Obs.Trace.finish () in
+  (* Moves/s against the floorplan-stage seconds, the time the evaluator
+     actually runs: whole-flow wall would dilute the gate with cell
+     placement and measurement time. *)
+  let rec sum acc (s : Obs.Span.t) =
+    let acc =
+      if s.Obs.Span.name = "floorplan.run" then acc +. s.Obs.Span.dur_us else acc
+    in
+    List.fold_left sum acc s.Obs.Span.children
   in
-  (* Single-thread leg: placement result, SA move count, and the
-     floorplan-stage seconds (the time the evaluator actually runs —
-     moves/s against whole-flow wall would dilute the gate with cell
-     placement and measurement time this PR does not touch). *)
-  let leg ~incremental flat =
-    let config =
-      { Hidap.Config.default with Hidap.Config.jobs = 1;
-        incremental_eval = incremental }
-    in
-    Obs.Perf.reset Obs.Perf.global;
-    Obs.Perf.set_enabled true;
-    Obs.Trace.start ();
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Obs.Perf.set_enabled false)
-        (fun () -> Hidap.place ~config flat)
-    in
-    let spans = Obs.Trace.finish () in
-    let rec sum acc (s : Obs.Span.t) =
-      let acc =
-        if s.Obs.Span.name = "floorplan.run" then acc +. s.Obs.Span.dur_us else acc
-      in
-      List.fold_left sum acc s.Obs.Span.children
-    in
-    let fp_s = List.fold_left sum 0.0 spans /. 1e6 in
-    let moves = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_moves in
-    (r, moves, fp_s)
-  in
-  let rows = ref [] in
-  List.iter
-    (fun cname ->
-      let c =
-        match Circuitgen.Suite.find cname with Some c -> c | None -> assert false
-      in
-      let flat = Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
-      let ri, mi, fp_i = leg ~incremental:true flat in
-      let rf, mf, fp_f = leg ~incremental:false flat in
-      let ok = identical ri rf && mi = mf in
-      printf
-        "  %s: placements identical: %b; %d moves; floorplan %.2fs incremental \
-         vs %.2fs full (%.2fx)@."
-        cname ok mi fp_i fp_f
-        (fp_f /. Float.max 1e-9 fp_i);
-      if not ok then
-        failwith
-          (Printf.sprintf "incremental evaluation changed the %s placement" cname);
-      if cname = "c5" then begin
-        let mps = float_of_int mi /. Float.max 1e-9 fp_i in
-        let floor = 3.0 *. pre_incremental_c5_moves_per_s in
-        printf
-          "  c5 single-thread floorplan throughput: %.0f moves/s (%.1fx the \
-           pre-incremental %.0f; gate 3x%s)@."
-          mps
-          (mps /. pre_incremental_c5_moves_per_s)
-          pre_incremental_c5_moves_per_s
-          (if mps >= 5.0 *. pre_incremental_c5_moves_per_s then
-             ", stretch 5x met"
-           else "");
-        if mps < floor then
-          failwith
-            (Printf.sprintf
-               "c5 single-thread floorplan throughput %.0f moves/s is below the \
-                3x gate (%.0f)"
-               mps floor);
-        rows :=
-          [ Qor.Speed.entry ~circuit:"c5-fp-incremental" ~wall_s:fp_i ~sa_moves:mi ();
-            Qor.Speed.entry ~circuit:"c5-fp-full" ~wall_s:fp_f ~sa_moves:mf () ]
-      end)
-    [ "c1"; "c5" ];
-  !rows
+  let fp_s = List.fold_left sum 0.0 spans /. 1e6 in
+  let moves = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_moves in
+  let mps = float_of_int moves /. Float.max 1e-9 fp_s in
+  let floor = 3.0 *. pre_incremental_c5_moves_per_s in
+  printf
+    "  c5: %d moves, floorplan %.2fs = %.0f moves/s (%.1fx the pre-incremental \
+     %.0f; gate 3x%s)@."
+    moves fp_s mps
+    (mps /. pre_incremental_c5_moves_per_s)
+    pre_incremental_c5_moves_per_s
+    (if mps >= 5.0 *. pre_incremental_c5_moves_per_s then ", stretch 5x met" else "");
+  if mps < floor then
+    failwith
+      (Printf.sprintf
+         "c5 single-thread floorplan throughput %.0f moves/s is below the 3x gate \
+          (%.0f)"
+         mps floor);
+  [ Qor.Speed.entry ~circuit:"c5-fp-incremental" ~wall_s:fp_s ~sa_moves:moves () ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing microbenches                                        *)
@@ -1345,7 +1302,7 @@ let () =
   let overhead_pct = overhead_check () in
   let attribution_pct = attribution_check () in
   parallel_speedup ();
-  let speed = speed @ incremental_check () in
+  let speed = speed @ floorplan_speed_check () in
   speed_table speed;
   let serve = serve_bench () in
   bechamel_benches ();

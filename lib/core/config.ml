@@ -16,10 +16,6 @@ type t = {
   flipping_passes : int;
   seed : int;
   sa_starts : int;
-  incremental_eval : bool;
-      (* evaluate SA moves incrementally (bit-identical to the full
-         evaluation; false forces the full path, e.g. for identity
-         checks and benchmarking) *)
   jobs : int;
   faults : Guard.Fault.spec list;
   budgets : (string * float) list;
@@ -43,7 +39,6 @@ let default =
     flipping_passes = 2;
     seed = 1;
     sa_starts = 4;
-    incremental_eval = true;
     jobs = Parexec.default_jobs ();
     faults = [];
     budgets = [] }

@@ -101,27 +101,10 @@ let affinity_pairs ~n_blocks ~n_endpoints affinity =
   done;
   Array.of_list !pairs
 
-(* Scratch buffers for expression evaluation. The SA cost function is
-   called once per proposed move, so the per-call rect/center arrays
-   are reused instead of reallocated; each annealing start owns its own
-   scratch, which also keeps the parallel starts free of shared mutable
-   state. *)
-type scratch = {
-  s_rects : Rect.t array;
-  s_centers : Point.t array;
-  s_budget_center : Point.t;
-}
-
-let make_scratch ~n_blocks ~budget =
-  let c = Rect.center budget in
-  { s_rects = Array.make n_blocks budget;
-    s_centers = Array.make n_blocks c;
-    s_budget_center = c }
-
 (* Assemble (cost, wirelength, violations) from the wirelength fold and
-   the raw violation totals. Shared verbatim by the full and the
-   incremental evaluation paths, so once their [wl]/[viol] inputs agree
-   bitwise the scalar the annealer sees does too. *)
+   the raw violation totals. Shared verbatim by the annealer's
+   incremental cost and the once-per-instance full evaluation, so once
+   their [wl]/[viol] inputs agree bitwise the scalar does too. *)
 let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol =
   (* Normalize violation areas by the budget area so the penalty weights
      are scale-free. *)
@@ -163,33 +146,16 @@ let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol
          cost wl budget.Rect.w budget.Rect.h);
   (cost, wl, viol)
 
-(* Evaluate [expr] into [s.s_rects]/[s.s_centers] (valid until the next
-   call on the same scratch) and return (cost, wirelength, violations). *)
-let evaluate_into s ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks expr =
-  let placement = Slicing.Layout.evaluate expr ~leaves ~budget in
-  Array.fill s.s_rects 0 n_blocks budget;
-  Array.fill s.s_centers 0 n_blocks s.s_budget_center;
-  List.iter
-    (fun (lid, r) ->
-      s.s_rects.(lid) <- r;
-      s.s_centers.(lid) <- Rect.center r)
-    placement.Slicing.Layout.rects;
-  let pos i = if i < n_blocks then s.s_centers.(i) else fixed_pos.(i - n_blocks) in
-  let wl = ref 0.0 in
-  Array.iter (fun (i, j, w) -> wl := !wl +. (w *. Point.manhattan (pos i) (pos j))) pairs;
-  finish_cost ~leaves ~budget ~n_pairs:(Array.length pairs) ~config ~n_blocks ~wl:!wl
-    placement.Slicing.Layout.viol
+(* ---- the annealer's cost ------------------------------------------- *)
 
-(* ---- incremental evaluation ---------------------------------------- *)
-
-(* Per-start state for the incremental cost path (DESIGN.md section 14):
+(* Per-start state of the annealer's cost function (DESIGN.md section 14):
    the [Slicing.Inc] tree evaluator plus flat pair tables. [ic_pc]
    caches each pair's wirelength contribution; [ic_adj] lists, per
    block, the pairs it participates in, so a move only recomputes the
    contributions of pairs with a moved endpoint (fixed endpoints never
    move). The total is still re-folded left to right over the whole
    contribution array every evaluation: each entry is bitwise the term
-   the full path would compute, and the fold order is the full path's
+   [result_of_expr]'s full evaluation computes, and the fold order is its
    pair order, so the sum — and hence the cost — is bit-identical. *)
 type inc = {
   ic_state : Slicing.Inc.t;
@@ -236,8 +202,9 @@ let make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks =
     ic_fx = Array.map (fun (p : Point.t) -> p.Point.x) fixed_pos;
     ic_fy = Array.map (fun (p : Point.t) -> p.Point.y) fixed_pos }
 
-(* Incremental counterpart of [evaluate_into]: same contract, same
-   floats. Rects are read through [Slicing.Inc.rects inc.ic_state]. *)
+(* Evaluate [expr] incrementally and return (cost, wirelength,
+   violations): the floats [result_of_expr] computes for the same
+   expression. *)
 let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
   let st = inc.ic_state in
   let viol = Slicing.Inc.evaluate st expr in
@@ -246,7 +213,7 @@ let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
   (* Refresh the contribution of one pair. Recomputing a pair twice
      (both endpoints moved) just rewrites the same value, so the moved
      list needs no deduplication. The arithmetic is [w *. Point.manhattan]
-     with the same operand order as the full path. *)
+     with the same operand order as [result_of_expr]. *)
   let update p =
     let i = inc.ic_pi.(p) and j = inc.ic_pj.(p) in
     let xi = if i < n_blocks then cx.(i) else inc.ic_fx.(i - n_blocks) in
@@ -276,52 +243,71 @@ let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
   done;
   finish_cost ~leaves ~budget ~n_pairs:np ~config ~n_blocks ~wl:!wl viol
 
+(* The cost function one annealing start owns: a fresh incremental
+   state, so parallel starts share nothing mutable. *)
+let start_cost ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~n_blocks =
+  let inc = make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks in
+  fun expr -> evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr
+
 (* Full evaluation of one expression: the scalar cost plus its named
-   breakdown and the post-hoc per-pair / per-leaf attribution. Runs once
-   per placed instance (never inside the SA move loop), so it can afford
-   the extra slicing-tree walk of [evaluate_attributed]. *)
+   breakdown and the per-pair / per-leaf attribution, from one walk of
+   the slicing tree. Runs once per placed instance (never inside the SA
+   move loop). *)
 let result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~(config : Config.t) ~n_blocks
     ~sa_moves ~final_temperature expr =
-  let s = make_scratch ~n_blocks ~budget in
-  let cost, wl, viol =
-    evaluate_into s ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks expr
+  let attr_leaf_viol = Array.make n_blocks Slicing.Layout.no_violations in
+  let placement =
+    Slicing.Layout.evaluate ~per_leaf:attr_leaf_viol expr ~leaves ~budget
   in
-  let breakdown =
-    breakdown_of ~cost ~wirelength:wl ~viol ~config ~budget
-      ~n_pairs:(Array.length pairs)
-  in
-  (* Per-pair wirelength: replay the [evaluate_into] loop term by term.
-     Same pairs array, same order, same positions, same float products —
-     folding the contributions reproduces [wirelength_term] bit for
-     bit. *)
-  let pos i = if i < n_blocks then s.s_centers.(i) else fixed_pos.(i - n_blocks) in
+  let rects = Array.make n_blocks budget in
+  List.iter (fun (lid, r) -> rects.(lid) <- r) placement.Slicing.Layout.rects;
+  let centers = Array.map Rect.center rects in
+  let pos i = if i < n_blocks then centers.(i) else fixed_pos.(i - n_blocks) in
+  (* The wirelength is the left-to-right fold of the per-pair shares, so
+     the shares reproduce [wirelength_term] bit for bit. *)
   let attr_pairs =
     Array.map
       (fun (i, j, w) ->
         { pc_i = i; pc_j = j; pc_weight = w; pc_wl = w *. Point.manhattan (pos i) (pos j) })
       pairs
   in
-  (* Per-leaf violations, with the single-block budget adjustment of
-     [evaluate_into] mirrored onto the lone leaf so the attribution
-     covers the same total as [viol]. *)
-  let _, attr_leaf_viol = Slicing.Layout.evaluate_attributed expr ~leaves ~budget in
-  if n_blocks = 1 && Array.length attr_leaf_viol > 0 then
+  let wl = Array.fold_left (fun acc p -> acc +. p.pc_wl) 0.0 attr_pairs in
+  let cost, wl, viol =
+    finish_cost ~leaves ~budget ~n_pairs:(Array.length pairs) ~config ~n_blocks ~wl
+      placement.Slicing.Layout.viol
+  in
+  let breakdown =
+    breakdown_of ~cost ~wirelength:wl ~viol ~config ~budget
+      ~n_pairs:(Array.length pairs)
+  in
+  (* Mirror [finish_cost]'s single-block budget adjustment onto the lone
+     leaf so the attribution covers the same total as [viol]. *)
+  if n_blocks = 1 then
     attr_leaf_viol.(0) <-
       { attr_leaf_viol.(0) with
         Slicing.Layout.am_deficit =
           attr_leaf_viol.(0).Slicing.Layout.am_deficit
           +. max 0.0 (leaves.(0).Slicing.Layout.area_min -. Rect.area budget) };
-  { rects = Array.copy s.s_rects; cost; wirelength_term = wl; viol; breakdown;
+  { rects; cost; wirelength_term = wl; viol; breakdown;
     attribution = { attr_pairs; attr_leaf_viol }; sa_moves; final_temperature }
 
-let eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget expr =
+let instance_inputs ~blocks ~affinity =
   let n_blocks = Array.length blocks in
   let leaves = Array.map Block.to_leaf blocks in
   let pairs =
     affinity_pairs ~n_blocks ~n_endpoints:(Array.length affinity) affinity
   in
+  (n_blocks, leaves, pairs)
+
+let eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget expr =
+  let n_blocks, leaves, pairs = instance_inputs ~blocks ~affinity in
   result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks ~sa_moves:0
     ~final_temperature:0.0 expr
+
+let sa_cost ~config ~blocks ~affinity ~fixed_pos ~budget =
+  let n_blocks, leaves, pairs = instance_inputs ~blocks ~affinity in
+  start_cost ~leaves ~table:(Slicing.Layout.leaf_table leaves) ~budget ~pairs
+    ~fixed_pos ~config ~n_blocks
 
 (* The alternating-operator chain skeleton with operand values taken
    from [order]. *)
@@ -374,15 +360,10 @@ let greedy_chain ~affinity ~n_blocks ~n_endpoints =
   Array.of_list (List.rev !order)
 
 let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budget () =
-  let n_blocks = Array.length blocks in
+  let n_blocks, leaves, pairs = instance_inputs ~blocks ~affinity in
   assert (n_blocks >= 1);
-  let leaves = Array.map Block.to_leaf blocks in
   let n_endpoints = Array.length affinity in
   assert (n_endpoints = n_blocks + Array.length fixed_pos);
-  let pairs = affinity_pairs ~n_blocks ~n_endpoints affinity in
-  let eval_into s expr =
-    evaluate_into s ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks expr
-  in
   if n_blocks = 1 then
     (* No search needed, but the cost must grade budget violations and
        wirelength to fixed endpoints exactly like the multi-block path,
@@ -429,27 +410,14 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
       let results =
         Parexec.map pool
           (fun i ->
-            (* Each start owns its evaluation state (incremental or
-               scratch), so the parallel starts share nothing mutable.
-               Both paths return bit-identical (cost, wl, viol) — the
-               incremental property suite and the bench/CI identity
-               checks hold them together — so the flag never changes a
-               placement, only the time to reach it. *)
-            let eval_expr =
-              if config.Config.incremental_eval then begin
-                let inc = make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks in
-                fun expr -> evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr
-              end
-              else begin
-                let s = make_scratch ~n_blocks ~budget in
-                fun expr -> eval_into s expr
-              end
+            let cost_of =
+              start_cost ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~n_blocks
             in
             match term_observer with
             | None ->
               let cost expr =
                 Guard.Budget.check ~stage:"floorplan";
-                let c, _, _ = eval_expr expr in
+                let c, _, _ = cost_of expr in
                 c
               in
               Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
@@ -467,7 +435,7 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
               let best_viol = ref Slicing.Layout.no_violations in
               let cost expr =
                 Guard.Budget.check ~stage:"floorplan";
-                let c, wl, viol = eval_expr expr in
+                let c, wl, viol = cost_of expr in
                 if not (!best <= c) then begin
                   best := c;
                   best_wl := wl;
@@ -498,19 +466,34 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
           (fun acc (r : _ Anneal.Sa.result) -> acc + r.moves + r.calibration_moves)
           0 results
       in
-      ( results.(!best_i).Anneal.Sa.best,
-        sa_moves,
-        results.(!best_i).Anneal.Sa.final_temperature )
+      let best = results.(!best_i) in
+      (best.Anneal.Sa.best, sa_moves, best.Anneal.Sa.final_temperature,
+       Some best.Anneal.Sa.best_cost)
     in
     (* When the annealing search dies — injected fault, exceeded budget
        — the instance keeps the affinity-greedy chain layout: legal by
        construction of the slicing evaluation, just not optimized. *)
-    let best_expr, sa_moves, final_temperature =
+    let best_expr, sa_moves, final_temperature, sa_best_cost =
       Guard.Supervisor.protect ~stage:"floorplan.sa"
-        ~fallback:(fun _ -> (chain_expr ~n_blocks ~order:chain, 0, 0.0))
+        ~fallback:(fun _ -> (chain_expr ~n_blocks ~order:chain, 0, 0.0, None))
         search
     in
-    result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks ~sa_moves
-      ~final_temperature best_expr
+    let r =
+      result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks ~sa_moves
+        ~final_temperature best_expr
+    in
+    (* The annealer only ever saw the incremental cost; the full
+       evaluation of its winner must reproduce that scalar bit for bit
+       (DESIGN.md section 14). One comparison per instance keeps every
+       run honest about the incremental evaluator. *)
+    (match sa_best_cost with
+    | Some c when Int64.bits_of_float c <> Int64.bits_of_float r.cost ->
+      Guard.Diag.fail ~code:"sa-cost-mismatch" ~stage:"floorplan"
+        (Printf.sprintf
+           "the annealer's best cost %h differs from the full evaluation's %h \
+            for the same %d-block expression"
+           c r.cost n_blocks)
+    | _ -> ());
+    r
   end
 

@@ -57,7 +57,7 @@ type attribution = {
           bit *)
   attr_leaf_viol : Slicing.Layout.violations array;
       (** per block index: that block's share of [viol] (see
-          {!Slicing.Layout.evaluate_attributed}; sums reconcile up to a
+          [per_leaf] of {!Slicing.Layout.evaluate}; sums reconcile up to a
           rounding residual) *)
 }
 
@@ -100,6 +100,22 @@ val eval_expr :
     breakdown and attribution a {!run} returning this expression would
     produce, with [sa_moves = 0] and [final_temperature = 0.0]. Exposed
     for tests and tools that need to re-attribute a known layout. *)
+
+val sa_cost :
+  config:Config.t ->
+  blocks:Block.t array ->
+  affinity:float array array ->
+  fixed_pos:Geom.Point.t array ->
+  budget:Geom.Rect.t ->
+  Slicing.Polish.t ->
+  float * float * Slicing.Layout.violations
+(** The cost function one annealing start of {!run} minimizes, with a
+    fresh incremental state ({!Slicing.Inc}): partially apply it up to
+    the expression and call it along a move sequence. Each call returns
+    [(cost, wirelength_term, viol)], bit for bit the fields {!eval_expr}
+    reports for the same expression; {!run} checks this once per
+    instance on the winning expression and fails with the
+    [sa-cost-mismatch] diagnostic otherwise. *)
 
 val run :
   ?observer:(Anneal.Sa.plateau -> unit) ->

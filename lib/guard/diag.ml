@@ -53,6 +53,10 @@ let codes =
      "annealing initial_acceptance outside (0, 1): temperature calibration \
       would divide by log(target) = 0 (silent quench) or produce NaN/negative \
       temperatures");
+    ("sa-cost-mismatch", "error",
+     "the full evaluation of a floorplan instance's winning expression does not \
+      reproduce, bit for bit, the cost the incremental evaluator gave the \
+      annealer (an incremental-evaluation bug)");
     ("ckpt-io", "error",
      "checkpoint directory cannot be created, opened or written");
     ("ckpt-mismatch", "error",

@@ -51,14 +51,21 @@ let idle_slots t =
 
 type spawn_result = Spawned of int | No_slot | Fork_failed of string
 
+let pipe_fds t =
+  Array.to_list t.slots
+  |> List.filter_map (fun s ->
+         match s.running with
+         | Some r when not r.eof -> Some r.pipe_r
+         | _ -> None)
+
 let spawn t ~job ~extra_close ~child =
   match Array.find_opt (fun s -> s.running = None) t.slots with
   | None -> No_slot
   | Some slot ->
-    let sibling_pipes =
-      Array.to_list t.slots
-      |> List.filter_map (fun s -> Option.map (fun r -> r.pipe_r) s.running)
-    in
+    (* Only the still-open read ends: a sibling whose pipe hit EOF has
+       already closed its descriptor, and the [Unix.pipe] below may
+       reuse that number for this child's write end. *)
+    let sibling_pipes = pipe_fds t in
     (match Unix.pipe () with
     | exception Unix.Unix_error (e, _, _) -> Fork_failed (Unix.error_message e)
     | pipe_r, pipe_w ->
@@ -89,13 +96,6 @@ let spawn t ~job ~extra_close ~child =
               last_io_s = now; frame = None; killed = None;
               drain_killed = false; status = None; eof = false };
         Spawned pid))
-
-let pipe_fds t =
-  Array.to_list t.slots
-  |> List.filter_map (fun s ->
-         match s.running with
-         | Some r when not r.eof -> Some r.pipe_r
-         | _ -> None)
 
 (* Split complete lines out of [r.rbuf], leaving any partial tail. *)
 let take_lines buf =

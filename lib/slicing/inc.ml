@@ -11,7 +11,8 @@
 
    Bit-identity with [Layout.evaluate] (the DESIGN.md section 14
    determinism argument, asserted by the incremental property suite and
-   the bench/CI identity checks) rests on three facts:
+   by [Layout_gen.run]'s once-per-instance cost check) rests on three
+   facts:
 
    - A node whose span is unchanged and whose assigned rectangle equals
      the previous evaluation's is a pure function of unchanged inputs:

@@ -10,8 +10,8 @@
     cached per-node contributions in the full evaluation's exact
     preorder, so the results — violations, rectangles, centers — are bit
     for bit what {!Layout.evaluate} returns for the same expression (the
-    incremental property suite and the bench/CI identity checks assert
-    this).
+    incremental property suite asserts this, and every floorplan
+    instance re-checks its winning cost against the full evaluation).
 
     The diff targets the last {e evaluated} expression, not the
     annealer's accepted state, so rejected moves need no SA hook: the

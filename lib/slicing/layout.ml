@@ -162,63 +162,6 @@ let macro_min_extent curve ~cross ~axis =
       let need_axis, need_cross = match axis with `Width -> (w, h) | `Height -> (h, w) in
       (need_axis, max 0.0 (need_cross -. cross) *. need_axis))
 
-let evaluate expr ~leaves ~budget =
-  let tree = build_tree expr ~table:(leaf_table leaves) in
-  let rects = ref [] in
-  let viol = ref no_violations in
-  let rec place t (r : Rect.t) =
-    match t with
-    | Leaf l ->
-      (* Leaf macro fit check. *)
-      let deficit =
-        if Curve.fits l.curve ~w:r.Rect.w ~h:r.Rect.h then 0.0
-        else begin
-          match Curve.min_area_point l.curve with
-          | None -> 0.0
-          | Some (w, h) ->
-            let need = min ((w -. r.Rect.w) *. h) ((h -. r.Rect.h) *. w) in
-            let need = if need <= 0.0 then abs_float need else need in
-            max 1e-9 need
-        end
-      in
-      viol := add_viol !viol { no_violations with macro_deficit = deficit };
-      rects := (l.lid, r) :: !rects
-    | Node { op; l; r = rt; _ } ->
-      (match op with
-      | Polish.V ->
-        let mac_a, def_a = macro_min_extent (curve_of l) ~cross:r.Rect.h ~axis:`Width in
-        let mac_b, def_b = macro_min_extent (curve_of rt) ~cross:r.Rect.h ~axis:`Width in
-        viol :=
-          add_viol !viol { no_violations with macro_deficit = def_a +. def_b };
-        let s, dv =
-          split_extent ~extent:r.Rect.w ~cross:r.Rect.h ~at_a:(at_of l) ~at_b:(at_of rt)
-            ~am_a:(am_of l) ~am_b:(am_of rt) ~mac_min_a:mac_a ~mac_min_b:mac_b
-        in
-        viol := add_viol !viol dv;
-        let frac = if r.Rect.w > 0.0 then s /. r.Rect.w else 0.5 in
-        let ra, rb = Rect.split_v r (Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac) in
-        place l ra;
-        place rt rb
-      | Polish.H ->
-        let mac_a, def_a = macro_min_extent (curve_of l) ~cross:r.Rect.w ~axis:`Height in
-        let mac_b, def_b = macro_min_extent (curve_of rt) ~cross:r.Rect.w ~axis:`Height in
-        viol :=
-          add_viol !viol { no_violations with macro_deficit = def_a +. def_b };
-        let s, dv =
-          split_extent ~extent:r.Rect.h ~cross:r.Rect.w ~at_a:(at_of l) ~at_b:(at_of rt)
-            ~am_a:(am_of l) ~am_b:(am_of rt) ~mac_min_a:mac_a ~mac_min_b:mac_b
-        in
-        viol := add_viol !viol dv;
-        let frac = if r.Rect.h > 0.0 then s /. r.Rect.h else 0.5 in
-        let ra, rb = Rect.split_h r (Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac) in
-        place l ra;
-        place rt rb)
-  in
-  place tree budget;
-  { rects = List.rev !rects; viol = !viol }
-
-(* ---- per-leaf attribution ------------------------------------------ *)
-
 let rec fold_leaves t acc f =
   match t with
   | Leaf l -> f acc l
@@ -248,20 +191,18 @@ let charge arr t v =
       fold_leaves t () (fun () l ->
           arr.(l.lid) <- add_viol arr.(l.lid) (scale_viol v (share l)))
 
-let evaluate_attributed expr ~leaves ~budget =
+let evaluate ?per_leaf expr ~leaves ~budget =
   let tree = build_tree expr ~table:(leaf_table leaves) in
-  let n = Array.fold_left (fun acc l -> max acc (l.lid + 1)) 0 leaves in
-  let per_leaf = Array.make n no_violations in
   let rects = ref [] in
   let viol = ref no_violations in
-  (* The recursion mirrors [evaluate] operation for operation — every
-     float feeding [rects]/[viol] is computed by the same expressions in
-     the same order, so the returned placement is bit-identical (a
-     property test holds the two in sync). Only the [charge] calls are
-     new, and they write exclusively into [per_leaf]. *)
+  (* Every float feeding [rects]/[viol] is computed the same way with or
+     without [per_leaf]; the [charge] calls only write into the
+     accumulator, so attributing never changes the placement (a property
+     test holds this). *)
   let rec place t (r : Rect.t) =
     match t with
     | Leaf l ->
+      (* Leaf macro fit check. *)
       let deficit =
         if Curve.fits l.curve ~w:r.Rect.w ~h:r.Rect.h then 0.0
         else begin
@@ -274,40 +215,45 @@ let evaluate_attributed expr ~leaves ~budget =
         end
       in
       viol := add_viol !viol { no_violations with macro_deficit = deficit };
-      per_leaf.(l.lid) <-
-        add_viol per_leaf.(l.lid) { no_violations with macro_deficit = deficit };
+      (match per_leaf with
+      | None -> ()
+      | Some arr -> charge arr t { no_violations with macro_deficit = deficit });
       rects := (l.lid, r) :: !rects
     | Node { op; l; r = rt; _ } ->
-      let axis = match op with Polish.V -> `Width | Polish.H -> `Height in
-      let extent, cross =
+      (* V cut: widths split, heights shared; H cut: the transpose. *)
+      let axis, extent, cross =
         match op with
-        | Polish.V -> (r.Rect.w, r.Rect.h)
-        | Polish.H -> (r.Rect.h, r.Rect.w)
+        | Polish.V -> (`Width, r.Rect.w, r.Rect.h)
+        | Polish.H -> (`Height, r.Rect.h, r.Rect.w)
       in
       let mac_a, def_a = macro_min_extent (curve_of l) ~cross ~axis in
       let mac_b, def_b = macro_min_extent (curve_of rt) ~cross ~axis in
       viol := add_viol !viol { no_violations with macro_deficit = def_a +. def_b };
-      charge per_leaf l { no_violations with macro_deficit = def_a };
-      charge per_leaf rt { no_violations with macro_deficit = def_b };
       let s, dv =
         split_extent ~extent ~cross ~at_a:(at_of l) ~at_b:(at_of rt) ~am_a:(am_of l)
           ~am_b:(am_of rt) ~mac_min_a:mac_a ~mac_min_b:mac_b
       in
       viol := add_viol !viol dv;
-      (* Per-side decomposition of the split violation: the minimum-area
-         addends are exactly the two terms summed inside [split_extent];
-         the target shift has no natural side, so it splits evenly; the
-         macro terms distribute the shared [cross] factor per side. *)
-      let wa = s and wb = extent -. s in
-      let at_half = 0.5 *. dv.at_shift in
-      charge per_leaf l
-        { at_shift = at_half;
-          am_deficit = max 0.0 (am_of l -. (wa *. cross));
-          macro_deficit = max 0.0 (mac_a -. wa) *. cross };
-      charge per_leaf rt
-        { at_shift = dv.at_shift -. at_half;
-          am_deficit = max 0.0 (am_of rt -. (wb *. cross));
-          macro_deficit = max 0.0 (mac_b -. wb) *. cross };
+      (match per_leaf with
+      | None -> ()
+      | Some arr ->
+        charge arr l { no_violations with macro_deficit = def_a };
+        charge arr rt { no_violations with macro_deficit = def_b };
+        (* Per-side decomposition of the split violation: the
+           minimum-area addends are exactly the two terms summed inside
+           [split_extent]; the target shift has no natural side, so it
+           splits evenly; the macro terms distribute the shared [cross]
+           factor per side. *)
+        let wa = s and wb = extent -. s in
+        let at_half = 0.5 *. dv.at_shift in
+        charge arr l
+          { at_shift = at_half;
+            am_deficit = max 0.0 (am_of l -. (wa *. cross));
+            macro_deficit = max 0.0 (mac_a -. wa) *. cross };
+        charge arr rt
+          { at_shift = dv.at_shift -. at_half;
+            am_deficit = max 0.0 (am_of rt -. (wb *. cross));
+            macro_deficit = max 0.0 (mac_b -. wb) *. cross });
       let frac = if extent > 0.0 then s /. extent else 0.5 in
       let frac = Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac in
       let ra, rb =
@@ -319,7 +265,7 @@ let evaluate_attributed expr ~leaves ~budget =
       place rt rb
   in
   place tree budget;
-  ({ rects = List.rev !rects; viol = !viol }, per_leaf)
+  { rects = List.rev !rects; viol = !viol }
 
 let tree_curve expr ~leaves =
   let tree = build_tree expr ~table:(leaf_table leaves) in

@@ -34,25 +34,28 @@ val penalty : violations -> at_w:float -> am_w:float -> macro_w:float -> float
 (** Weighted violation sum, used as the paper's multiplicative penalty
     term: [1. +. penalty ...] multiplies the wirelength cost. *)
 
-val evaluate : Polish.t -> leaves:leaf array -> budget:Geom.Rect.t -> placement
+val evaluate :
+  ?per_leaf:violations array ->
+  Polish.t ->
+  leaves:leaf array ->
+  budget:Geom.Rect.t ->
+  placement
 (** Lay the slicing tree out inside [budget]. [leaves] must cover exactly
     the operand indices of the expression. The returned rectangles
-    partition the budget exactly (up to floating-point rounding). *)
+    partition the budget exactly (up to floating-point rounding).
 
-val evaluate_attributed :
-  Polish.t -> leaves:leaf array -> budget:Geom.Rect.t -> placement * violations array
-(** [evaluate] plus a per-leaf attribution of the violation total. The
-    returned placement is bit-identical to [evaluate]'s — the extra
-    accumulation never touches the shared float path. Slot [lid] of the
-    array holds the share of [placement.viol] charged to that leaf:
-    leaf macro-fit deficits go to the leaf itself; each internal node's
-    split violations go to its two subtrees (the exact per-side
-    minimum-area addends, the target shift split evenly, the macro
-    minima distributed by side) and a subtree's charge is spread over
-    its leaves proportionally to target area (equal split when the
-    subtree has no target area). The charges sum to the total only up
-    to float rounding; consumers reconcile with an explicit residual
-    (DESIGN.md §13). *)
+    [per_leaf], when given, accumulates a per-leaf attribution of the
+    violation total: slot [lid] (the array needs one per leaf) gains the
+    share of [placement.viol] charged to that leaf. Leaf macro-fit
+    deficits go to the leaf itself; each internal node's split
+    violations go to its two subtrees (the exact per-side minimum-area
+    addends, the target shift split evenly, the macro minima distributed
+    by side) and a subtree's charge is spread over its leaves
+    proportionally to target area (equal split when the subtree has no
+    target area). The charges sum to the total only up to float
+    rounding; consumers reconcile with an explicit residual (DESIGN.md
+    §13). The accumulation never touches the placement's floats, which
+    are bit-identical with and without it. *)
 
 val tree_curve : Polish.t -> leaves:leaf array -> Shape.Curve.t
 (** Bottom-up composition of the leaf curves along the tree — the shape

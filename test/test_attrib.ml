@@ -2,8 +2,8 @@
 
    The contract under test: the named breakdown terms sum to the
    annealer's scalar bit for bit; the per-pair wirelength shares fold
-   back to the wirelength term bit for bit; the attributed layout
-   evaluation is bit-identical to the plain one and its per-leaf
+   back to the wirelength term bit for bit; the layout evaluation with
+   the per-leaf accumulator is bit-identical to the plain one and its
    charges reconcile with the violation totals; and neither the
    attribution nor the job count ever changes a placement. *)
 
@@ -101,31 +101,39 @@ let pair_fold_exact =
 
 (* ---- attributed layout evaluation ---------------------------------- *)
 
+let beq_viol (a : Slicing.Layout.violations) (b : Slicing.Layout.violations) =
+  beq a.Slicing.Layout.at_shift b.Slicing.Layout.at_shift
+  && beq a.Slicing.Layout.am_deficit b.Slicing.Layout.am_deficit
+  && beq a.Slicing.Layout.macro_deficit b.Slicing.Layout.macro_deficit
+
+let beq_rect (a : Rect.t) (b : Rect.t) =
+  beq a.Rect.x b.Rect.x && beq a.Rect.y b.Rect.y && beq a.Rect.w b.Rect.w
+  && beq a.Rect.h b.Rect.h
+
 let attributed_eval_identical =
-  qtest ~count:200 "evaluate_attributed is bit-identical and reconciles" seed_arb
+  qtest ~count:200 "evaluate with per_leaf is bit-identical and reconciles" seed_arb
     (fun seed ->
       let blocks, _, _, budget, expr = random_instance seed in
       let leaves = Array.map Hidap.Block.to_leaf blocks in
       let p = Slicing.Layout.evaluate expr ~leaves ~budget in
-      let p2, per_leaf = Slicing.Layout.evaluate_attributed expr ~leaves ~budget in
+      let per_leaf = Array.make (Array.length leaves) Slicing.Layout.no_violations in
+      let p2 = Slicing.Layout.evaluate ~per_leaf expr ~leaves ~budget in
       let close total parts =
         (* charges reconcile up to float rounding; the residual term
            absorbs the gap downstream *)
         abs_float (total -. parts) <= 1e-6 *. (1.0 +. abs_float total)
       in
-      p = p2
+      let sum field = Array.fold_left (fun a v -> a +. field v) 0.0 per_leaf in
+      beq_viol p.Slicing.Layout.viol p2.Slicing.Layout.viol
+      && List.equal
+           (fun (la, ra) (lb, rb) -> la = lb && beq_rect ra rb)
+           p.Slicing.Layout.rects p2.Slicing.Layout.rects
       && close p.Slicing.Layout.viol.Slicing.Layout.at_shift
-           (Array.fold_left
-              (fun a v -> a +. v.Slicing.Layout.at_shift)
-              0.0 per_leaf)
+           (sum (fun v -> v.Slicing.Layout.at_shift))
       && close p.Slicing.Layout.viol.Slicing.Layout.am_deficit
-           (Array.fold_left
-              (fun a v -> a +. v.Slicing.Layout.am_deficit)
-              0.0 per_leaf)
+           (sum (fun v -> v.Slicing.Layout.am_deficit))
       && close p.Slicing.Layout.viol.Slicing.Layout.macro_deficit
-           (Array.fold_left
-              (fun a v -> a +. v.Slicing.Layout.macro_deficit)
-              0.0 per_leaf))
+           (sum (fun v -> v.Slicing.Layout.macro_deficit)))
 
 (* ---- job-count and observer neutrality ----------------------------- *)
 

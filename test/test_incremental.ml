@@ -2,12 +2,13 @@
 
    The contract under test: [Slicing.Inc] evaluated along any random
    M1/M2/M3 perturbation sequence is bit for bit [Layout.evaluate] on
-   the same expression — violations, rectangles and centers; a
-   [Layout_gen.run] with [incremental_eval] on is bit-identical to one
-   with it off at every job count; the configured start count is
-   honored exactly (sa_starts = 1 runs one start); and an asymmetric
-   affinity matrix is rejected with a structured diagnostic instead of
-   silently dropping weight. *)
+   the same expression — violations, rectangles and centers; the
+   annealer's per-start cost function returns, move after move, the
+   cost, wirelength and violations of the full [Layout_gen.eval_expr];
+   [Layout_gen.run] is bit-identical at every job count; the
+   configured start count is honored exactly (sa_starts = 1 runs one
+   start); and an asymmetric affinity matrix is rejected with a
+   structured diagnostic instead of silently dropping weight. *)
 
 module Rect = Geom.Rect
 module Point = Geom.Point
@@ -132,12 +133,11 @@ let inc_handles_reverts =
       && check_step inc b ~leaves ~budget
       && check_step inc a ~leaves ~budget)
 
-(* ---- the flag never changes a placement ----------------------------- *)
+(* ---- the annealer's cost and the search result ---------------------- *)
 
-let fast_config ~jobs ~incremental =
+let fast_config ~jobs =
   { Hidap.Config.default with
     Hidap.Config.jobs;
-    incremental_eval = incremental;
     sa_starts = 3;
     layout_sa = { Anneal.Sa.quick_params with Anneal.Sa.max_moves = 600 } }
 
@@ -175,12 +175,11 @@ let random_instance seed =
   in
   (blocks, affinity, fixed_pos, budget)
 
-let run_one seed ~jobs ~incremental =
+let run_one seed ~jobs =
   let blocks, affinity, fixed_pos, budget = random_instance seed in
   LG.run
     ~rng:(Util.Rng.create (seed + 7))
-    ~config:(fast_config ~jobs ~incremental)
-    ~blocks ~affinity ~fixed_pos ~budget ()
+    ~config:(fast_config ~jobs) ~blocks ~affinity ~fixed_pos ~budget ()
 
 let same_result (a : LG.result) (b : LG.result) =
   Array.length a.LG.rects = Array.length b.LG.rects
@@ -190,14 +189,46 @@ let same_result (a : LG.result) (b : LG.result) =
   && beq_viol a.LG.viol b.LG.viol
   && a.LG.sa_moves = b.LG.sa_moves
 
-let incremental_flag_is_neutral =
-  qtest ~count:8 "incremental_eval never changes the search result" seed_arb
+(* The cost closure the annealer minimizes, checked move by move against
+   the full evaluation that reports the placed instance. Some blocks get
+   macro curves so the macro-deficit grades take part too. *)
+let sa_cost_matches_full =
+  qtest ~count:100 "SA cost = eval_expr along random M1/M2/M3 walks" seed_arb
     (fun seed ->
-      let base = run_one seed ~jobs:1 ~incremental:false in
-      List.for_all
-        (fun jobs -> same_result base (run_one seed ~jobs ~incremental:true))
-        [ 1; 2; 4 ]
-      && same_result base (run_one seed ~jobs:4 ~incremental:false))
+      let blocks, affinity, fixed_pos, budget = random_instance seed in
+      let rng = Util.Rng.create (seed + 1) in
+      let blocks =
+        Array.map
+          (fun (b : Hidap.Block.t) ->
+            if Util.Rng.bool rng then b
+            else
+              { b with
+                Hidap.Block.curve =
+                  Curve.of_macro
+                    ~w:(1.0 +. Util.Rng.float rng 6.0)
+                    ~h:(1.0 +. Util.Rng.float rng 6.0)
+                    () })
+          blocks
+      in
+      let config = fast_config ~jobs:1 in
+      let cost = LG.sa_cost ~config ~blocks ~affinity ~fixed_pos ~budget in
+      let check expr =
+        let c, wl, viol = cost expr in
+        let r = LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget expr in
+        beq c r.LG.cost && beq wl r.LG.wirelength_term && beq_viol viol r.LG.viol
+      in
+      let expr = ref (Polish.initial_random rng ~n:(Array.length blocks)) in
+      let ok = ref (check !expr) in
+      for _ = 1 to 12 do
+        expr := Polish.perturb rng !expr;
+        ok := !ok && check !expr
+      done;
+      !ok)
+
+let run_is_jobs_neutral =
+  qtest ~count:8 "run is bit-identical at jobs 1, 2 and 4" seed_arb (fun seed ->
+      let base = run_one seed ~jobs:1 in
+      List.for_all (fun jobs -> same_result base (run_one seed ~jobs)) [ 2; 4 ])
 
 (* ---- sa_starts is honored exactly ----------------------------------- *)
 
@@ -210,7 +241,7 @@ let test_sa_starts_honored () =
     (fun n_starts ->
       let blocks, affinity, fixed_pos, budget = random_instance 42 in
       let config =
-        { (fast_config ~jobs:1 ~incremental:true) with
+        { (fast_config ~jobs:1) with
           Hidap.Config.sa_starts = n_starts }
       in
       let reg = Obs.Perf.create () in
@@ -260,7 +291,7 @@ let test_asymmetric_affinity_rejected () =
 let suite =
   [ ( "incremental",
       [ inc_matches_full_random_walk; inc_matches_full_per_move;
-        inc_handles_reverts; incremental_flag_is_neutral;
+        inc_handles_reverts; sa_cost_matches_full; run_is_jobs_neutral;
         Alcotest.test_case "sa_starts honored exactly" `Quick
           test_sa_starts_honored;
         Alcotest.test_case "asymmetric affinity rejected" `Quick

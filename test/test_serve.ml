@@ -426,6 +426,22 @@ let test_worker_fault_sites_registered () =
   | Ok _ -> Alcotest.fail "wrong spec count"
   | Error m -> Alcotest.failf "spec refused: %s" m
 
+(* A spawn next to two EOF'd but unreaped siblings reuses their closed
+   pipe descriptors; the new worker must still deliver its status
+   frame. The pool forks, so the check runs in its own executable
+   (test/pool_harness.ml), built next to this one. *)
+let test_pool_spawn_after_eof_siblings () =
+  let harness =
+    Filename.concat (Filename.dirname Sys.executable_name) "pool_harness.exe"
+  in
+  let pid =
+    Unix.create_process harness [| harness |] Unix.stdin Unix.stdout Unix.stderr
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED c -> Alcotest.failf "pool_harness exited %d" c
+  | _ -> Alcotest.fail "pool_harness died of a signal"
+
 (* ---- end-to-end daemon -------------------------------------------- *)
 
 let test_serve_done_result_report () =
@@ -1037,6 +1053,8 @@ let suite =
           test_worker_classify;
         Alcotest.test_case "worker fault sites registered" `Quick
           test_worker_fault_sites_registered;
+        Alcotest.test_case "pool spawn after unreaped EOF siblings" `Quick
+          test_pool_spawn_after_eof_siblings;
         Alcotest.test_case "job done, result and report served" `Slow
           test_serve_done_result_report;
         Alcotest.test_case "deadline lands in timed-out" `Slow
