@@ -2,6 +2,10 @@ module Flat = Netlist.Flat
 module Rect = Geom.Rect
 module Point = Geom.Point
 
+(* [Stdlib.max]/[min] on floats, without the polymorphic compare call. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 type macro_place = {
   fid : int;
   rect : Rect.t;
@@ -83,7 +87,7 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
     Array.to_list flat.Flat.nodes
     |> List.filter (fun (nd : Flat.node) -> movable.(nd.Flat.id))
   in
-  if cells <> [] then begin
+  if not (List.is_empty cells) then begin
     let bin_w = die.Rect.w /. float_of_int s in
     let bin_h = die.Rect.h /. float_of_int s in
     let bin_rect i j =
@@ -99,7 +103,7 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
         let blocked =
           List.fold_left (fun acc mr -> acc +. Rect.intersection_area r mr) 0.0 macro_rects
         in
-        cap.(i).(j) <- max 0.0 (Rect.area r -. blocked) *. max_bin_utilization
+        cap.(i).(j) <- fmax 0.0 (Rect.area r -. blocked) *. max_bin_utilization
       done
     done;
     let bin_of fid =
@@ -110,7 +114,7 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
     in
     let members : (int, int list) Hashtbl.t = Hashtbl.create (s * s) in
     let load = Array.make_matrix s s 0.0 in
-    let area_of fid = max 1.0 flat.Flat.nodes.(fid).Flat.area in
+    let area_of fid = fmax 1.0 flat.Flat.nodes.(fid).Flat.area in
     List.iter
       (fun (nd : Flat.node) ->
         let fid = nd.Flat.id in
@@ -124,11 +128,11 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
     let nearest_free i j =
       let best = ref None in
       let radius = ref 1 in
-      while !best = None && !radius < 2 * s do
+      while Option.is_none !best && !radius < 2 * s do
         let r = !radius in
         for di = -r to r do
           for dj = -r to r do
-            if max (abs di) (abs dj) = r then begin
+            if Int.max (abs di) (abs dj) = r then begin
               let ni = i + di and nj = j + dj in
               if ni >= 0 && ni < s && nj >= 0 && nj < s
                  && cap.(ni).(nj) -. load.(ni).(nj) > 0.0
@@ -157,7 +161,7 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
           let sorted =
             List.sort
               (fun a b ->
-                compare (Point.manhattan pos.(a) centre) (Point.manhattan pos.(b) centre))
+                Float.compare (Point.manhattan pos.(a) centre) (Point.manhattan pos.(b) centre))
               cells_here
           in
           let keep = ref [] and here = ref 0.0 in
@@ -165,7 +169,7 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
           List.iter
             (fun fid ->
               let a = area_of fid in
-              if !here +. a <= cap.(i).(j) || !keep = [] then begin
+              if !here +. a <= cap.(i).(j) || List.is_empty !keep then begin
                 here := !here +. a;
                 keep := fid :: !keep
               end
@@ -211,7 +215,7 @@ let push_out_of_macros ~pos ~movable ~macro_rects ~die =
               let dr = r.Rect.x +. r.Rect.w -. (!p).Point.x in
               let db = (!p).Point.y -. r.Rect.y in
               let dt = r.Rect.y +. r.Rect.h -. (!p).Point.y in
-              let m = min (min dl dr) (min db dt) in
+              let m = fmin (fmin dl dr) (fmin db dt) in
               p :=
                 if m = dl then Point.make (r.Rect.x -. 0.5) (!p).Point.y
                 else if m = dr then Point.make (r.Rect.x +. r.Rect.w +. 0.5) (!p).Point.y
@@ -304,7 +308,7 @@ let density_map t ~flat ~macros ~bins =
       match nd.Flat.kind with
       | Flat.Kflop | Flat.Kcomb ->
         let i, j = bin_of t.positions.(nd.Flat.id) in
-        grid.(i).(j) <- grid.(i).(j) +. max 1.0 nd.Flat.area
+        grid.(i).(j) <- grid.(i).(j) +. fmax 1.0 nd.Flat.area
       | Flat.Kmacro _ | Flat.Kport _ -> ())
     flat.Flat.nodes;
   List.iter

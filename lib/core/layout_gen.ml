@@ -101,6 +101,9 @@ let affinity_pairs ~n_blocks ~n_endpoints affinity =
   done;
   Array.of_list !pairs
 
+(* [Stdlib.max] on floats, without the polymorphic compare call. *)
+let fmax (a : float) b = if a >= b then a else b
+
 (* Assemble (cost, wirelength, violations) from the wirelength fold and
    the raw violation totals. Shared verbatim by the annealer's
    incremental cost and the once-per-instance full evaluation, so once
@@ -108,7 +111,7 @@ let affinity_pairs ~n_blocks ~n_endpoints affinity =
 let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol =
   (* Normalize violation areas by the budget area so the penalty weights
      are scale-free. *)
-  let scale v = v /. max 1e-9 (Rect.area budget) in
+  let area = fmax 1e-9 (Rect.area budget) in
   (* A lone leaf never passes through [split_extent], which is where the
      multi-block path charges minimum-area deficits; charge its deficit
      against the whole budget here so a violating single block pays the
@@ -118,13 +121,13 @@ let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol
       { viol with
         Slicing.Layout.am_deficit =
           viol.Slicing.Layout.am_deficit
-          +. max 0.0 (leaves.(0).Slicing.Layout.area_min -. Rect.area budget) }
+          +. fmax 0.0 (leaves.(0).Slicing.Layout.area_min -. Rect.area budget) }
     else viol
   in
   let norm_viol =
-    { Slicing.Layout.at_shift = scale viol.Slicing.Layout.at_shift;
-      am_deficit = scale viol.Slicing.Layout.am_deficit;
-      macro_deficit = scale viol.Slicing.Layout.macro_deficit }
+    { Slicing.Layout.at_shift = viol.Slicing.Layout.at_shift /. area;
+      am_deficit = viol.Slicing.Layout.am_deficit /. area;
+      macro_deficit = viol.Slicing.Layout.macro_deficit /. area }
   in
   let pen =
     Slicing.Layout.penalty norm_viol ~at_w:config.Config.at_weight
@@ -202,6 +205,17 @@ let make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks =
     ic_fx = Array.map (fun (p : Point.t) -> p.Point.x) fixed_pos;
     ic_fy = Array.map (fun (p : Point.t) -> p.Point.y) fixed_pos }
 
+(* Refresh the contribution of pair [p]. The arithmetic is
+   [w *. Point.manhattan] with the same operand order as
+   [result_of_expr]. *)
+let update_pair inc ~n_blocks cx cy p =
+  let i = inc.ic_pi.(p) and j = inc.ic_pj.(p) in
+  let xi = if i < n_blocks then cx.(i) else inc.ic_fx.(i - n_blocks) in
+  let yi = if i < n_blocks then cy.(i) else inc.ic_fy.(i - n_blocks) in
+  let xj = if j < n_blocks then cx.(j) else inc.ic_fx.(j - n_blocks) in
+  let yj = if j < n_blocks then cy.(j) else inc.ic_fy.(j - n_blocks) in
+  inc.ic_pc.(p) <- inc.ic_pw.(p) *. (abs_float (xi -. xj) +. abs_float (yi -. yj))
+
 (* Evaluate [expr] incrementally and return (cost, wirelength,
    violations): the floats [result_of_expr] computes for the same
    expression. *)
@@ -210,28 +224,18 @@ let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
   let viol = Slicing.Inc.evaluate st expr in
   let cx = Slicing.Inc.centers_x st and cy = Slicing.Inc.centers_y st in
   let np = Array.length inc.ic_pc in
-  (* Refresh the contribution of one pair. Recomputing a pair twice
-     (both endpoints moved) just rewrites the same value, so the moved
-     list needs no deduplication. The arithmetic is [w *. Point.manhattan]
-     with the same operand order as [result_of_expr]. *)
-  let update p =
-    let i = inc.ic_pi.(p) and j = inc.ic_pj.(p) in
-    let xi = if i < n_blocks then cx.(i) else inc.ic_fx.(i - n_blocks) in
-    let yi = if i < n_blocks then cy.(i) else inc.ic_fy.(i - n_blocks) in
-    let xj = if j < n_blocks then cx.(j) else inc.ic_fx.(j - n_blocks) in
-    let yj = if j < n_blocks then cy.(j) else inc.ic_fy.(j - n_blocks) in
-    inc.ic_pc.(p) <- inc.ic_pw.(p) *. (abs_float (xi -. xj) +. abs_float (yi -. yj))
-  in
+  (* Recomputing a pair twice (both endpoints moved) just rewrites the
+     same value, so the moved list needs no deduplication. *)
   if Slicing.Inc.full st then
     for p = 0 to np - 1 do
-      update p
+      update_pair inc ~n_blocks cx cy p
     done
   else begin
     let moved = Slicing.Inc.moved st and n_moved = Slicing.Inc.n_moved st in
     for m = 0 to n_moved - 1 do
       let adj = inc.ic_adj.(moved.(m)) in
       for a = 0 to Array.length adj - 1 do
-        update adj.(a)
+        update_pair inc ~n_blocks cx cy adj.(a)
       done
     done
   end;

@@ -10,7 +10,14 @@
     curves are pruned to a bounded number of points to keep compositions
     cheap. *)
 
-type t
+type t = private {
+  mutable len : int;  (** number of points; 0 is {!unconstrained} *)
+  pts : float array;
+      (** point [i < len] is [(pts.(2i), pts.(2i+1))]; read-only *)
+}
+(** The representation is exposed read-only so allocation-free loops
+    (the slicing layout's per-node arithmetic) can scan points without
+    boxing a float per access. *)
 
 val unconstrained : t
 (** No macro constraint: every box fits. *)
@@ -28,6 +35,10 @@ val points : t -> (float * float) list
 
 val is_unconstrained : t -> bool
 
+val eps : float
+(** Tolerance of every fit test: a point fits a bound it exceeds by at
+    most [eps]. *)
+
 val fits : t -> w:float -> h:float -> bool
 (** Can the block's macros be placed in a [w] x [h] box? *)
 
@@ -39,6 +50,10 @@ val min_width : t -> h:float -> float option
 
 val min_area_point : t -> (float * float) option
 (** Curve point with the smallest area; [None] for {!unconstrained}. *)
+
+val min_area_index : t -> int
+(** Index of {!min_area_point} (the first point of least area). The
+    curve must not be {!unconstrained}. *)
 
 val min_area : t -> float
 (** Area of {!min_area_point}; 0 for {!unconstrained}. *)
@@ -58,5 +73,31 @@ val prune : max_points:int -> t -> t
     extremes and a spread of intermediate points. *)
 
 val size : t -> int
+
+(** {1 Buffers}
+
+    Preallocated curves that compositions write into, so a hot loop can
+    re-derive a curve without allocating (DESIGN.md section 14). *)
+
+type buf
+
+val buffer : capacity:int -> buf
+(** An empty ({!unconstrained}) buffer able to hold [capacity] points. *)
+
+val view : buf -> t
+(** The buffer's current curve, without a copy: it changes with the
+    next write to the buffer. *)
+
+val compose_h_into : buf -> t -> t -> unit
+(** [compose_h_into dst a b] writes {!compose_h}[ a b] into [dst]: the
+    same points, bit for bit. Raises [Invalid_argument] when [dst]
+    cannot hold [size a + size b - 1] points (or the constrained side's
+    points, when the other is unconstrained). *)
+
+val compose_v_into : buf -> t -> t -> unit
+(** {!compose_v} into a buffer, as {!compose_h_into}. *)
+
+val prune_in_place : max_points:int -> buf -> unit
+(** {!prune} within the buffer: the same points, bit for bit. *)
 
 val pp : Format.formatter -> t -> unit

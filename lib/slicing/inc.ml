@@ -37,6 +37,27 @@
 module Curve = Shape.Curve
 module Rect = Geom.Rect
 
+(* The float registers of one evaluation. An all-float record is stored
+   flat, so updating a field boxes nothing (a float field of [t] itself
+   would be boxed, allocating on every update). *)
+type regs = {
+  (* Violation accumulators; hold the last evaluation's totals between
+     calls so an unchanged expression returns without re-folding. *)
+  mutable v_at : float;
+  mutable v_am : float;
+  mutable v_mac : float;
+  (* The rectangle a parent hands to [visit] for one child. *)
+  mutable x : float;
+  mutable y : float;
+  mutable w : float;
+  mutable h : float;
+}
+
+(* No SA move allocates here once the state is warm (DESIGN.md section
+   14): curves are composed into one preallocated buffer per expression
+   position, node rectangles and all float intermediates live in flat
+   arrays and float-only records, and leaf [Rect.t] records are only
+   built when [rects] is read. *)
 type t = {
   table : Layout.leaf array;   (* lid -> leaf, validated by [Layout.leaf_table] *)
   budget : Rect.t;
@@ -51,7 +72,9 @@ type t = {
   right : int array;
   lid : int array;             (* operand positions: the block id *)
   stack : int array;
-  (* Bottom-up node data, cached across evaluations. *)
+  (* Bottom-up node data, cached across evaluations. An operand's curve
+     is its leaf's; an operator's is a view of its own buffer. *)
+  nd_buf : Curve.buf array;
   nd_curve : Curve.t array;
   nd_am : float array;
   nd_at : float array;
@@ -68,18 +91,15 @@ type t = {
   c_at : float array;
   c_am : float array;
   c_mac : float array;
+  wk : Layout.work;
+  regs : regs;
   (* Outputs, indexed by lid. *)
-  out_rect : Rect.t array;
+  leaf_node : int array;       (* the node holding the lid's rectangle *)
   out_cx : float array;
   out_cy : float array;
   moved : int array;           (* lids whose center changed this evaluation *)
   mutable n_moved : int;
   mutable full : bool;         (* cold evaluation: treat every lid as moved *)
-  (* Violation accumulators; hold the last evaluation's totals between
-     calls so an unchanged expression returns without re-folding. *)
-  mutable v_at : float;
-  mutable v_am : float;
-  mutable v_mac : float;
 }
 
 let create ~table ~budget =
@@ -87,6 +107,14 @@ let create ~table ~budget =
   assert (n >= 1);
   let len = (2 * n) - 1 in
   let c = Rect.center budget in
+  (* An operator's children hold a leaf curve or a pruned composition,
+     so a buffer of twice the larger bound minus one holds any merge
+     before it is pruned back in place. *)
+  let child_points =
+    Array.fold_left
+      (fun acc (l : Layout.leaf) -> Int.max acc (Curve.size l.Layout.curve))
+      Layout.max_curve_points table
+  in
   { table;
     budget;
     len;
@@ -98,6 +126,7 @@ let create ~table ~budget =
     right = Array.make len (-1);
     lid = Array.make len (-1);
     stack = Array.make len 0;
+    nd_buf = Array.init len (fun _ -> Curve.buffer ~capacity:((2 * child_points) - 1));
     nd_curve = Array.make len Curve.unconstrained;
     nd_am = Array.make len 0.0;
     nd_at = Array.make len 0.0;
@@ -109,15 +138,14 @@ let create ~table ~budget =
     c_at = Array.make len 0.0;
     c_am = Array.make len 0.0;
     c_mac = Array.make len 0.0;
-    out_rect = Array.make n budget;
+    wk = Layout.work ();
+    regs = { v_at = 0.0; v_am = 0.0; v_mac = 0.0; x = 0.0; y = 0.0; w = 0.0; h = 0.0 };
+    leaf_node = Array.make n (-1);
     out_cx = Array.make n c.Geom.Point.x;
     out_cy = Array.make n c.Geom.Point.y;
     moved = Array.make n 0;
     n_moved = 0;
-    full = true;
-    v_at = 0.0;
-    v_am = 0.0;
-    v_mac = 0.0 }
+    full = true }
 
 (* Accessors for the caller's wirelength update. [moved]/[n_moved] list
    the lids whose center changed in the last [evaluate]; when [full] is
@@ -127,106 +155,131 @@ let moved t = t.moved
 let n_moved t = t.n_moved
 let centers_x t = t.out_cx
 let centers_y t = t.out_cy
-let rects t = t.out_rect
+
+let rects t =
+  Array.map
+    (fun k ->
+      if k < 0 then t.budget else { Rect.x = t.rx.(k); y = t.ry.(k); w = t.rw.(k); h = t.rh.(k) })
+    t.leaf_node
 
 let violations t =
-  { Layout.at_shift = t.v_at; am_deficit = t.v_am; macro_deficit = t.v_mac }
+  let g = t.regs in
+  { Layout.at_shift = g.v_at; am_deficit = g.v_am; macro_deficit = g.v_mac }
 
 (* Re-add a clean subtree's cached contributions in the preorder the
    full evaluation visits them: node first, then left, then right. *)
 let rec fold_cached t k =
-  let l = t.left.(k) in
-  if l < 0 then t.v_mac <- t.v_mac +. t.c_def.(k)
+  let g = t.regs and l = t.left.(k) in
+  if l < 0 then g.v_mac <- g.v_mac +. t.c_def.(k)
   else begin
-    t.v_mac <- t.v_mac +. t.c_def.(k);
-    t.v_at <- t.v_at +. t.c_at.(k);
-    t.v_am <- t.v_am +. t.c_am.(k);
-    t.v_mac <- t.v_mac +. t.c_mac.(k);
+    g.v_mac <- g.v_mac +. t.c_def.(k);
+    g.v_at <- g.v_at +. t.c_at.(k);
+    g.v_am <- g.v_am +. t.c_am.(k);
+    g.v_mac <- g.v_mac +. t.c_mac.(k);
     fold_cached t l;
     fold_cached t t.right.(k)
   end
 
-(* Place node [k] into (x, y, w, h), mirroring [Layout.evaluate]'s
-   recursion operation for operation on the recompute path. [may_skip]
-   is true when the caches are consistent (warm state). *)
-let rec place t ~may_skip k x y w h =
+(* Lay node [k] out in the rectangle its parent left in [t.regs]:
+   re-fold its cached contributions when the caches are consistent
+   ([may_skip]), its span is unchanged and the rectangle equals the last
+   evaluation's; otherwise record the rectangle and [place] it. *)
+let rec visit t ~may_skip k =
+  let g = t.regs in
   if
     may_skip
     && t.cp.(k + 1) - t.cp.(t.span_lo.(k)) = 0
-    && t.rx.(k) = x && t.ry.(k) = y && t.rw.(k) = w && t.rh.(k) = h
+    && t.rx.(k) = g.x && t.ry.(k) = g.y && t.rw.(k) = g.w && t.rh.(k) = g.h
   then fold_cached t k
   else begin
-    t.rx.(k) <- x;
-    t.ry.(k) <- y;
-    t.rw.(k) <- w;
-    t.rh.(k) <- h;
-    let l = t.left.(k) in
-    if l < 0 then begin
-      let i = t.lid.(k) in
-      let leaf = t.table.(i) in
-      let deficit =
-        if Curve.fits leaf.Layout.curve ~w ~h then 0.0
-        else begin
-          match Curve.min_area_point leaf.Layout.curve with
-          | None -> 0.0
-          | Some (cw, ch) ->
-            let need = min ((cw -. w) *. ch) ((ch -. h) *. cw) in
-            let need = if need <= 0.0 then abs_float need else need in
-            max 1e-9 need
-        end
-      in
-      t.c_def.(k) <- deficit;
-      t.v_mac <- t.v_mac +. deficit;
-      t.out_rect.(i) <- { Rect.x; y; w; h };
-      (* Same float expressions as [Rect.center]. *)
-      let cx = x +. (w /. 2.0) and cy = y +. (h /. 2.0) in
-      if not (cx = t.out_cx.(i) && cy = t.out_cy.(i)) then begin
-        t.out_cx.(i) <- cx;
-        t.out_cy.(i) <- cy;
-        t.moved.(t.n_moved) <- i;
-        t.n_moved <- t.n_moved + 1
-      end
-    end
-    else begin
-      let r = t.right.(k) in
-      let op =
-        match t.prev.(k) with
-        | Polish.Operator o -> o
-        | Polish.Operand _ -> assert false
-      in
-      let extent, cross =
-        match op with Polish.V -> (w, h) | Polish.H -> (h, w)
-      in
-      let axis = match op with Polish.V -> `Width | Polish.H -> `Height in
-      let mac_a, def_a = Layout.macro_min_extent t.nd_curve.(l) ~cross ~axis in
-      let mac_b, def_b = Layout.macro_min_extent t.nd_curve.(r) ~cross ~axis in
-      let def_sum = def_a +. def_b in
-      t.c_def.(k) <- def_sum;
-      t.v_mac <- t.v_mac +. def_sum;
-      let s, dv =
-        Layout.split_extent ~extent ~cross ~at_a:t.nd_at.(l) ~at_b:t.nd_at.(r)
-          ~am_a:t.nd_am.(l) ~am_b:t.nd_am.(r) ~mac_min_a:mac_a ~mac_min_b:mac_b
-      in
-      t.c_at.(k) <- dv.Layout.at_shift;
-      t.c_am.(k) <- dv.Layout.am_deficit;
-      t.c_mac.(k) <- dv.Layout.macro_deficit;
-      t.v_at <- t.v_at +. dv.Layout.at_shift;
-      t.v_am <- t.v_am +. dv.Layout.am_deficit;
-      t.v_mac <- t.v_mac +. dv.Layout.macro_deficit;
-      let frac = if extent > 0.0 then s /. extent else 0.5 in
-      let frac = Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac in
-      (* Child rects exactly as [Rect.split_v]/[split_h] derive them. *)
-      match op with
-      | Polish.V ->
-        let wl = w *. frac in
-        place t ~may_skip l x y wl h;
-        place t ~may_skip r (x +. wl) y (w -. wl) h
-      | Polish.H ->
-        let hb = h *. frac in
-        place t ~may_skip l x y w hb;
-        place t ~may_skip r x (y +. hb) w (h -. hb)
+    t.rx.(k) <- g.x;
+    t.ry.(k) <- g.y;
+    t.rw.(k) <- g.w;
+    t.rh.(k) <- g.h;
+    place t ~may_skip k
+  end
+
+(* Place node [k] into its recorded rectangle, mirroring
+   [Layout.evaluate]'s recursion operation for operation. *)
+and place t ~may_skip k =
+  let g = t.regs and wk = t.wk in
+  let x = t.rx.(k) and y = t.ry.(k) and w = t.rw.(k) and h = t.rh.(k) in
+  wk.Layout.w <- w;
+  wk.Layout.h <- h;
+  let l = t.left.(k) in
+  if l < 0 then begin
+    let i = t.lid.(k) in
+    Layout.leaf_fit wk t.nd_curve.(k);
+    let deficit = wk.Layout.fit_def in
+    t.c_def.(k) <- deficit;
+    g.v_mac <- g.v_mac +. deficit;
+    t.leaf_node.(i) <- k;
+    (* Same float expressions as [Rect.center]. *)
+    let cx = x +. (w /. 2.0) and cy = y +. (h /. 2.0) in
+    if not (cx = t.out_cx.(i) && cy = t.out_cy.(i)) then begin
+      t.out_cx.(i) <- cx;
+      t.out_cy.(i) <- cy;
+      t.moved.(t.n_moved) <- i;
+      t.n_moved <- t.n_moved + 1
     end
   end
+  else begin
+    let r = t.right.(k) in
+    let op =
+      match t.prev.(k) with
+      | Polish.Operator o -> o
+      | Polish.Operand _ -> assert false
+    in
+    wk.Layout.at_a <- t.nd_at.(l);
+    wk.Layout.at_b <- t.nd_at.(r);
+    wk.Layout.am_a <- t.nd_am.(l);
+    wk.Layout.am_b <- t.nd_am.(r);
+    Layout.split_node wk op t.nd_curve.(l) t.nd_curve.(r);
+    let def_sum = wk.Layout.def_a +. wk.Layout.def_b in
+    t.c_def.(k) <- def_sum;
+    g.v_mac <- g.v_mac +. def_sum;
+    t.c_at.(k) <- wk.Layout.d_at;
+    t.c_am.(k) <- wk.Layout.d_am;
+    t.c_mac.(k) <- wk.Layout.d_mac;
+    g.v_at <- g.v_at +. wk.Layout.d_at;
+    g.v_am <- g.v_am +. wk.Layout.d_am;
+    g.v_mac <- g.v_mac +. wk.Layout.d_mac;
+    let frac = wk.Layout.frac in
+    (* Child rects exactly as [Rect.split_v]/[split_h] derive them. *)
+    match op with
+    | Polish.V ->
+      let wl = w *. frac in
+      g.x <- x;
+      g.y <- y;
+      g.w <- wl;
+      g.h <- h;
+      visit t ~may_skip l;
+      g.x <- x +. wl;
+      g.y <- y;
+      g.w <- w -. wl;
+      g.h <- h;
+      visit t ~may_skip r
+    | Polish.H ->
+      let hb = h *. frac in
+      g.x <- x;
+      g.y <- y;
+      g.w <- w;
+      g.h <- hb;
+      visit t ~may_skip l;
+      g.x <- x;
+      g.y <- y +. hb;
+      g.w <- w;
+      g.h <- h -. hb;
+      visit t ~may_skip r
+  end
+
+let same_elt (a : Polish.elt) (b : Polish.elt) =
+  match (a, b) with
+  | Polish.Operand a, Polish.Operand b -> Int.equal a b
+  | Polish.Operator Polish.H, Polish.Operator Polish.H
+  | Polish.Operator Polish.V, Polish.Operator Polish.V -> true
+  | Polish.Operator _, Polish.Operator _
+  | Polish.Operand _, Polish.Operator _ | Polish.Operator _, Polish.Operand _ -> false
 
 (* Evaluate [expr], reusing everything the diff against the previous
    evaluation allows. Returns the violation totals; rects and centers
@@ -241,16 +294,7 @@ let evaluate t (expr : Polish.t) =
   let changed = ref 0 in
   for k = 0 to t.len - 1 do
     let ek = Polish.get expr k in
-    let same =
-      was_warm
-      &&
-      match (t.prev.(k), ek) with
-      | Polish.Operand a, Polish.Operand b -> a = b
-      | Polish.Operator a, Polish.Operator b -> a = b
-      | Polish.Operand _, Polish.Operator _ | Polish.Operator _, Polish.Operand _ ->
-        false
-    in
-    if not same then begin
+    if not (was_warm && same_elt t.prev.(k) ek) then begin
       t.prev.(k) <- ek;
       incr changed
     end;
@@ -268,8 +312,11 @@ let evaluate t (expr : Polish.t) =
        caches half-updated; drop them until an evaluation completes. *)
     t.warm <- false;
     (* Phase 1: structure + bottom-up curves/areas. The stack pass is
-       integer work for every node; curve composition (the expensive,
-       allocating part) only runs for nodes whose span changed. *)
+       integer work for every node; curve composition (the expensive
+       part) only runs for nodes whose span changed, each into its own
+       position's buffer. A node whose span is unchanged only points at
+       buffers of positions inside that span, which are not rewritten
+       either. *)
     let sp = ref 0 in
     for k = 0 to t.len - 1 do
       match t.prev.(k) with
@@ -293,16 +340,12 @@ let evaluate t (expr : Polish.t) =
         t.left.(k) <- l;
         t.right.(k) <- r;
         if not was_warm || t.cp.(k + 1) - t.cp.(t.span_lo.(k)) > 0 then begin
-          let curve =
-            let c =
-              match op with
-              | Polish.V -> Curve.compose_h t.nd_curve.(l) t.nd_curve.(r)
-              | Polish.H -> Curve.compose_v t.nd_curve.(l) t.nd_curve.(r)
-            in
-            if Curve.is_unconstrained c then c
-            else Curve.prune ~max_points:Layout.max_curve_points c
-          in
-          t.nd_curve.(k) <- curve;
+          let buf = t.nd_buf.(k) in
+          (match op with
+          | Polish.V -> Curve.compose_h_into buf t.nd_curve.(l) t.nd_curve.(r)
+          | Polish.H -> Curve.compose_v_into buf t.nd_curve.(l) t.nd_curve.(r));
+          Curve.prune_in_place ~max_points:Layout.max_curve_points buf;
+          t.nd_curve.(k) <- Curve.view buf;
           t.nd_am.(k) <- t.nd_am.(l) +. t.nd_am.(r);
           t.nd_at.(k) <- t.nd_at.(l) +. t.nd_at.(r)
         end;
@@ -312,13 +355,18 @@ let evaluate t (expr : Polish.t) =
     if !sp <> 1 then invalid_arg "Layout.evaluate: malformed expression";
     (* Phase 2+3: top-down placement with subtree reuse, folding the
        violation contributions in evaluation order as it goes. *)
-    t.v_at <- 0.0;
-    t.v_am <- 0.0;
-    t.v_mac <- 0.0;
+    let g = t.regs in
+    g.v_at <- 0.0;
+    g.v_am <- 0.0;
+    g.v_mac <- 0.0;
     t.n_moved <- 0;
     t.full <- not was_warm;
     let b = t.budget in
-    place t ~may_skip:was_warm (t.len - 1) b.Rect.x b.Rect.y b.Rect.w b.Rect.h;
+    g.x <- b.Rect.x;
+    g.y <- b.Rect.y;
+    g.w <- b.Rect.w;
+    g.h <- b.Rect.h;
+    visit t ~may_skip:was_warm (t.len - 1);
     t.warm <- true;
     violations t
   end

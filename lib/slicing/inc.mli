@@ -27,14 +27,17 @@ val create : table:Layout.leaf array -> budget:Geom.Rect.t -> t
 val evaluate : t -> Polish.t -> Layout.violations
 (** Evaluate [expr], reusing whatever the diff allows. The expression
     must keep the length [create]'s table implies ([2n - 1]); M1/M2/M3
-    all preserve it. Rects/centers accessors are valid until the next
+    all preserve it. Once the state is warm, a call allocates only the
+    returned record. Centers/moved accessors are valid until the next
     call. *)
 
 val violations : t -> Layout.violations
 (** The last evaluation's violation totals. *)
 
 val rects : t -> Geom.Rect.t array
-(** Per-lid rectangles of the last evaluation (do not mutate). *)
+(** Per-lid rectangles of the last evaluation, built on each call (the
+    evaluation itself keeps them in flat arrays and allocates no
+    record). *)
 
 val centers_x : t -> float array
 (** Per-lid center coordinates of the last evaluation — the same floats

@@ -80,21 +80,42 @@ val leaf_of_table : leaf array -> int -> leaf
 val max_curve_points : int
 (** Pruning bound applied to every composed internal-node curve. *)
 
-val macro_min_extent :
-  Shape.Curve.t -> cross:float -> axis:[ `Width | `Height ] -> float * float
-(** Minimum extent along the cut axis for a subtree inside cross
-    dimension [cross], paired with any unavoidable macro deficit when no
-    curve point respects [cross]. *)
+(** Scratch of one node's layout arithmetic. Every field is a float, so
+    the record is stored flat and {!leaf_fit}/{!split_node} exchange
+    their inputs and outputs through it without boxing a float: the
+    incremental evaluator calls them on every re-placed node of every SA
+    move. Fill the inputs, call the helper, and read the outputs before
+    laying out the children (they reuse the record). *)
+type work = {
+  mutable w : float;  (** in: the node's rectangle width ... *)
+  mutable h : float;  (** ... and height *)
+  mutable at_a : float;  (** in ([split_node]): children's target areas ... *)
+  mutable at_b : float;
+  mutable am_a : float;  (** ... and minimum areas *)
+  mutable am_b : float;
+  mutable fit_def : float;  (** out ([leaf_fit]): the leaf's macro-fit deficit *)
+  mutable mac_a : float;
+      (** out: the first child's minimum extent along the cut axis *)
+  mutable def_a : float;  (** out: its unavoidable macro deficit *)
+  mutable mac_b : float;  (** out: the same for the second child *)
+  mutable def_b : float;
+  mutable s : float;  (** out: the first child's extent along the cut *)
+  mutable frac : float;  (** out: [s] as a fraction of the extent, in \[0, 1\] *)
+  mutable d_at : float;  (** out: the split's violation delta *)
+  mutable d_am : float;
+  mutable d_mac : float;
+}
 
-val split_extent :
-  extent:float ->
-  cross:float ->
-  at_a:float ->
-  at_b:float ->
-  am_a:float ->
-  am_b:float ->
-  mac_min_a:float ->
-  mac_min_b:float ->
-  float * violations
-(** Size of the first child along the cut axis plus the split's
-    violation delta (see the implementation for the staged clamping). *)
+val work : unit -> work
+
+val leaf_fit : work -> Shape.Curve.t -> unit
+(** Macro-fit deficit of a leaf in a [w] x [h] rectangle: 0 when a
+    curve point fits, else the area its least-area box lacks. *)
+
+val split_node : work -> Polish.op -> Shape.Curve.t -> Shape.Curve.t -> unit
+(** One internal node of a [w] x [h] rectangle cut by [op] over
+    children with curves [ca]/[cb] and areas [at_a]/[at_b]/[am_a]/[am_b]:
+    each child's minimum extent along the cut axis at the node's cross
+    dimension (plus any unavoidable macro deficit), then the first
+    child's extent — the target-area share, shifted for the minimum
+    areas and the macro minima — and the violation delta of the shift. *)

@@ -68,94 +68,105 @@ let of_elements e =
   if not (is_normalized e) then invalid_arg "Polish.of_elements: not normalized";
   Array.copy e
 
+(* The moves below run once per SA move, so they allocate only the
+   returned expression: positions are found by scanning, and
+   complemented operators are the shared constants [op_h]/[op_v]. The
+   draws each move takes from [rng], and the position each draw
+   selects, fix every SA trajectory: changing them changes placements. *)
+
+let op_h = Operator H
+let op_v = Operator V
+
 (* M1: swap two adjacent operands (adjacent in the subsequence of
    operands, not necessarily in the array). *)
 let move_m1 rng t =
   let n = operand_count t in
   if n < 2 then None
   else begin
-    let positions = Array.make n 0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun i e ->
-        if is_operand e then begin
-          positions.(!k) <- i;
-          incr k
-        end)
-      t;
+    (* Positions of the [i]-th and [i + 1]-th operands. *)
     let i = Util.Rng.int rng (n - 1) in
-    let p = positions.(i) and q = positions.(i + 1) in
+    let p = ref (-1) and q = ref (-1) and k = ref 0 and pos = ref 0 in
+    while !q < 0 do
+      if is_operand t.(!pos) then begin
+        if !k = i then p := !pos else if !k = i + 1 then q := !pos;
+        incr k
+      end;
+      incr pos
+    done;
     let e = Array.copy t in
-    let tmp = e.(p) in
-    e.(p) <- e.(q);
-    e.(q) <- tmp;
+    e.(!p) <- t.(!q);
+    e.(!q) <- t.(!p);
     Some e
   end
 
-(* M2: complement a maximal operator chain. *)
+(* M2: complement a maximal operator chain. The draw is the chain's
+   rank counted from the end of the expression. *)
 let move_m2 rng t =
   let len = Array.length t in
-  let chain_starts = ref [] in
+  let is_start i = (not (is_operand t.(i))) && (i = 0 || is_operand t.(i - 1)) in
+  let n_starts = ref 0 in
   for i = 0 to len - 1 do
-    match t.(i) with
-    | Operator _ when i = 0 || is_operand t.(i - 1) -> chain_starts := i :: !chain_starts
-    | Operator _ | Operand _ -> ()
+    if is_start i then incr n_starts
   done;
-  match !chain_starts with
-  | [] -> None
-  | starts ->
-    let starts = Array.of_list starts in
-    let s = Util.Rng.pick rng starts in
+  if !n_starts = 0 then None
+  else begin
+    let r = Util.Rng.int rng !n_starts in
+    let s = ref len and seen = ref (-1) in
+    while !seen < r do
+      decr s;
+      if is_start !s then incr seen
+    done;
     let e = Array.copy t in
-    let i = ref s in
-    while
-      !i < len && match e.(!i) with Operator _ -> true | Operand _ -> false
-    do
-      (match e.(!i) with
-      | Operator o -> e.(!i) <- Operator (flip o)
-      | Operand _ -> assert false);
+    let i = ref !s in
+    while !i < len && not (is_operand e.(!i)) do
+      e.(!i) <-
+        (match e.(!i) with
+        | Operator H -> op_v
+        | Operator V -> op_h
+        | Operand _ -> assert false);
       incr i
     done;
     Some e
+  end
 
 (* M3: swap an adjacent operand-operator pair, keeping normalization.
-   Try random adjacent pairs a bounded number of times. *)
+   Try random adjacent pairs a bounded number of times, swapping in one
+   scratch copy (and back, when the swap breaks normalization). *)
 let move_m3 rng t =
   let len = Array.length t in
   if len < 3 then None
   else begin
-    let attempt () =
+    let e = ref [||] and found = ref false and tries = ref 0 in
+    while (not !found) && !tries < 16 do
+      incr tries;
       let i = Util.Rng.int rng (len - 1) in
-      let a = t.(i) and b = t.(i + 1) in
-      let swappable =
-        match (a, b) with
-        | Operand _, Operator _ | Operator _, Operand _ -> true
-        | Operand _, Operand _ | Operator _, Operator _ -> false
-      in
-      if not swappable then None
-      else begin
-        let e = Array.copy t in
-        e.(i) <- b;
-        e.(i + 1) <- a;
-        if is_normalized e then Some e else None
+      if is_operand t.(i) <> is_operand t.(i + 1) then begin
+        if Array.length !e = 0 then e := Array.copy t;
+        let a = !e in
+        a.(i) <- t.(i + 1);
+        a.(i + 1) <- t.(i);
+        if is_normalized a then found := true
+        else begin
+          a.(i) <- t.(i);
+          a.(i + 1) <- t.(i + 1)
+        end
       end
-    in
-    let rec try_n k = if k = 0 then None else match attempt () with Some e -> Some e | None -> try_n (k - 1) in
-    try_n 16
+    done;
+    if !found then Some !e else None
   end
 
+let apply_move k rng t =
+  match k with 0 -> move_m1 rng t | 1 -> move_m2 rng t | _ -> move_m3 rng t
+
 let perturb rng t =
-  let moves = [| move_m1; move_m2; move_m3 |] in
   let order = [| 0; 1; 2 |] in
   Util.Rng.shuffle rng order;
-  let rec go i =
-    if i >= Array.length order then t
-    else
-      match moves.(order.(i)) rng t with
-      | Some e -> e
-      | None -> go (i + 1)
-  in
-  go 0
+  match apply_move order.(0) rng t with
+  | Some e -> e
+  | None -> (
+    match apply_move order.(1) rng t with
+    | Some e -> e
+    | None -> ( match apply_move order.(2) rng t with Some e -> e | None -> t))
 
 let pp ppf t =
   Array.iter

@@ -36,9 +36,9 @@ let median xs =
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let clamp ~lo ~hi (x : float) = if x < lo then lo else if x > hi then hi else x
 
-let clamp_int ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let clamp_int ~lo ~hi (x : int) = if x < lo then lo else if x > hi then hi else x
 
 let round_to ~digits x =
   let f = 10.0 ** float_of_int digits in

@@ -76,22 +76,25 @@ let check_step inc expr ~leaves ~budget =
 
 (* ---- incremental vs full along move sequences ----------------------- *)
 
+(* A random 12-move walk from a random expression, every step checked. *)
+let walk_matches_full rng ~leaves ~budget =
+  let n = Array.length leaves in
+  let inc = Inc.create ~table:(Layout.leaf_table leaves) ~budget in
+  let expr = ref (Polish.initial_random rng ~n) in
+  let ok = ref (check_step inc !expr ~leaves ~budget) in
+  for _ = 1 to 12 do
+    expr := Polish.perturb rng !expr;
+    ok := !ok && check_step inc !expr ~leaves ~budget
+  done;
+  !ok
+
 let inc_matches_full_random_walk =
   qtest ~count:150 "incremental = full along random M1/M2/M3 walks, bitwise"
     seed_arb (fun seed ->
       let rng = Util.Rng.create seed in
       let n = 2 + Util.Rng.int rng 9 in
       let budget = random_budget rng in
-      let leaves = random_leaves rng ~budget n in
-      let table = Layout.leaf_table leaves in
-      let inc = Inc.create ~table ~budget in
-      let expr = ref (Polish.initial_random rng ~n) in
-      let ok = ref (check_step inc !expr ~leaves ~budget) in
-      for _ = 1 to 12 do
-        expr := Polish.perturb rng !expr;
-        ok := !ok && check_step inc !expr ~leaves ~budget
-      done;
-      !ok)
+      walk_matches_full rng ~leaves:(random_leaves rng ~budget n) ~budget)
 
 (* Each move kind on its own, so a regression in one diff path cannot
    hide behind the others in the mixed walk above. *)
@@ -132,6 +135,33 @@ let inc_handles_reverts =
       check_step inc a ~leaves ~budget
       && check_step inc b ~leaves ~budget
       && check_step inc a ~leaves ~budget)
+
+(* Leaf curves longer than [Layout.max_curve_points] (a flow configured
+   with [Config.max_curve_points = 48] produces them): an operator over
+   two such leaves merges up to 95 points into its buffer before pruning
+   them back in place, the buffers' capacity edge. *)
+let long_curve rng =
+  let n = 25 + Util.Rng.int rng 24 in
+  let area = 20.0 +. Util.Rng.float rng 30.0 in
+  Curve.of_points
+    (List.init n (fun i ->
+         let w = 1.0 +. (float_of_int i *. (0.5 +. Util.Rng.float rng 0.1)) in
+         (w, area /. w)))
+
+let inc_matches_full_long_curves =
+  qtest ~count:60 "incremental = full with leaf curves over max_curve_points"
+    seed_arb (fun seed ->
+      let rng = Util.Rng.create seed in
+      let n = 2 + Util.Rng.int rng 9 in
+      let budget = random_budget rng in
+      let leaves =
+        Array.map
+          (fun (l : Layout.leaf) ->
+            if l.Layout.lid > 0 && Util.Rng.int rng 4 = 0 then l
+            else { l with Layout.curve = long_curve rng })
+          (random_leaves rng ~budget n)
+      in
+      walk_matches_full rng ~leaves ~budget)
 
 (* ---- the annealer's cost and the search result ---------------------- *)
 
@@ -230,6 +260,97 @@ let run_is_jobs_neutral =
       let base = run_one seed ~jobs:1 in
       List.for_all (fun jobs -> same_result base (run_one seed ~jobs)) [ 2; 4 ])
 
+(* ---- allocation bounds ---------------------------------------------- *)
+
+(* A fixed instance: [n] blocks, most with a macro curve, plus three
+   fixed endpoints, with a seeded affinity matrix. *)
+let fixed_instance n =
+  let rng = Util.Rng.create n in
+  let budget = Rect.make ~x:0.0 ~y:0.0 ~w:400.0 ~h:300.0 in
+  let blocks =
+    Array.init n (fun i ->
+        let am = 200.0 +. Util.Rng.float rng (Rect.area budget /. float_of_int n) in
+        { Hidap.Block.idx = i; ht_id = i; name = Printf.sprintf "b%d" i;
+          curve =
+            (if i mod 4 = 3 then Curve.unconstrained
+             else
+               Curve.of_macro ~w:(5.0 +. Util.Rng.float rng 20.0)
+                 ~h:(5.0 +. Util.Rng.float rng 20.0) ());
+          am;
+          at = am *. (1.0 +. Util.Rng.float rng 0.5);
+          macro_count = 1 })
+  in
+  let total = n + 3 in
+  let affinity = Array.make_matrix total total 0.0 in
+  for i = 0 to total - 1 do
+    for j = i + 1 to total - 1 do
+      if Util.Rng.int rng 3 = 0 then begin
+        let w = 0.1 +. Util.Rng.float rng 2.0 in
+        affinity.(i).(j) <- w;
+        affinity.(j).(i) <- w
+      end
+    done
+  done;
+  let fixed_pos =
+    [| Point.make 0.0 0.0; Point.make 400.0 150.0; Point.make 200.0 300.0 |]
+  in
+  (blocks, affinity, fixed_pos, budget)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A warm [Inc.evaluate] allocates only its returned violations record
+   (four words), whatever the block count and however much of the tree
+   a move re-derives: curves go into per-node buffers and every float
+   stays unboxed. The walk is generated up front so [perturb]'s own
+   allocation is not counted. *)
+let test_inc_evaluate_allocation () =
+  let per_eval n =
+    let blocks, _, _, budget = fixed_instance n in
+    let leaves = Array.map Hidap.Block.to_leaf blocks in
+    let inc = Inc.create ~table:(Layout.leaf_table leaves) ~budget in
+    let rng = Util.Rng.create 5 in
+    let walk = Array.make 400 (Polish.initial_random rng ~n) in
+    for i = 1 to Array.length walk - 1 do
+      walk.(i) <- Polish.perturb rng walk.(i - 1)
+    done;
+    ignore (Inc.evaluate inc walk.(0));
+    let words =
+      minor_words (fun () ->
+          for i = 1 to Array.length walk - 1 do
+            ignore (Sys.opaque_identity (Inc.evaluate inc walk.(i)))
+          done)
+    in
+    words /. float_of_int (Array.length walk - 1)
+  in
+  List.iter
+    (fun n ->
+      let w = per_eval n in
+      if w > 4.5 then
+        Alcotest.failf "a warm Inc.evaluate on %d blocks allocates %.2f words" n w)
+    [ 4; 17; 40 ]
+
+(* One SA move of [Layout_gen.run] — perturbation, incremental
+   evaluation, pair-wirelength fold and cost — on a fixed 17-block
+   instance, with setup and the final full evaluation amortized over the
+   whole search. *)
+let test_sa_move_allocation () =
+  let blocks, affinity, fixed_pos, budget = fixed_instance 17 in
+  let config = { Hidap.Config.default with Hidap.Config.jobs = 1 } in
+  let moves = ref 0 in
+  let words =
+    minor_words (fun () ->
+        let r =
+          LG.run ~rng:(Util.Rng.create 3) ~config ~blocks ~affinity ~fixed_pos ~budget ()
+        in
+        moves := r.LG.sa_moves)
+  in
+  let per_move = words /. float_of_int !moves in
+  if !moves < 10_000 || per_move > 256.0 then
+    Alcotest.failf "%d SA moves allocated %.1f words each" !moves per_move
+
 (* ---- sa_starts is honored exactly ----------------------------------- *)
 
 (* Every start beyond the first bumps the reheat counter, so the
@@ -291,7 +412,11 @@ let test_asymmetric_affinity_rejected () =
 let suite =
   [ ( "incremental",
       [ inc_matches_full_random_walk; inc_matches_full_per_move;
-        inc_handles_reverts; sa_cost_matches_full; run_is_jobs_neutral;
+        inc_handles_reverts; inc_matches_full_long_curves; sa_cost_matches_full; run_is_jobs_neutral;
+        Alcotest.test_case "warm Inc.evaluate allocates a constant" `Quick
+          test_inc_evaluate_allocation;
+        Alcotest.test_case "an SA move allocates at most 256 words" `Quick
+          test_sa_move_allocation;
         Alcotest.test_case "sa_starts honored exactly" `Quick
           test_sa_starts_honored;
         Alcotest.test_case "asymmetric affinity rejected" `Quick

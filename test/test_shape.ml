@@ -178,6 +178,111 @@ let compose_matches_cartesian =
         same Curve.compose_h (fun (w1, h1) (w2, h2) -> (w1 +. w2, max h1 h2))
         && same Curve.compose_v (fun (w1, h1) (w2, h2) -> (max w1 w2, h1 +. h2)))
 
+(* ---- unboxed curves and buffers ---------------------------------------- *)
+
+let beq_points c c' =
+  let a = Curve.points c and b = Curve.points c' in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (w, h) (w', h') ->
+         Int64.bits_of_float w = Int64.bits_of_float w'
+         && Int64.bits_of_float h = Int64.bits_of_float h')
+       a b
+
+(* Staircases as the SA builds them: compositions of random curves. With
+   [ties], one side's widths sit near 2^56, where neighbouring floats are
+   16 apart, so [w1 +. w2] rounds nearby sums to the same width and the
+   staircase carries runs of equal-width points. *)
+let staircase_arb =
+  let side =
+    QCheck.(
+      list_of_size (Gen.int_range 4 30)
+        (pair (float_range 1.0 50.0) (float_range 1.0 50.0)))
+  in
+  QCheck.(triple (pair side side) bool (pair bool (int_range 2 12)))
+
+let build_staircase ((pa, pb), ties, (vertical, max_points)) =
+  let big = if ties then 72057594037927936.0 else 0.0 in
+  (* The fixed point keeps both sides non-empty when QCheck shrinks. *)
+  let a = Curve.of_points ((10.0, 10.0) :: pa) in
+  let b = Curve.of_points (List.map (fun (w, h) -> (w +. big, h)) ((10.0, 10.0) :: pb)) in
+  let c = if vertical then Curve.compose_v a b else Curve.compose_h a b in
+  (c, max_points)
+
+(* [prune]'s linear pass against the formulation it replaced: sample
+   the staircase, then [of_points] (filter + sort + scan). *)
+let prune_matches_pareto =
+  let reference ~max_points c =
+    if Curve.size c <= max_points then c
+    else begin
+      let a = Array.of_list (Curve.points c) in
+      let n = Array.length a in
+      Curve.of_points (List.init max_points (fun i -> a.(i * (n - 1) / (max_points - 1))))
+    end
+  in
+  qtest ~count:500 "prune = sample + of_points, bitwise (equal-width ties included)"
+    staircase_arb (fun arg ->
+      let c, max_points = build_staircase arg in
+      beq_points (Curve.prune ~max_points c) (reference ~max_points c))
+
+(* The ties the property above is after do occur: some generated
+   staircase has equal widths. *)
+let test_ties_generated () =
+  let rng = Random.State.make [| 7 |] in
+  let has_tie c =
+    let rec go = function
+      | (w1, _) :: ((w2, _) :: _ as rest) -> w1 = w2 || go rest
+      | _ -> false
+    in
+    go (Curve.points c)
+  in
+  let found = ref false in
+  for _ = 1 to 200 do
+    let pab, _, rest = QCheck.Gen.generate1 ~rand:rng (QCheck.gen staircase_arb) in
+    let c, _ = build_staircase (pab, true, rest) in
+    if has_tie c then found := true
+  done;
+  Alcotest.(check bool) "an equal-width staircase was generated" true !found
+
+(* Composing into a reused buffer gives the allocating composition's
+   points, whatever the buffer held before; pruning in place gives
+   [prune]'s. *)
+let buffer_compose_matches =
+  qtest ~count:300 "compose/prune into a buffer = allocating compose/prune, bitwise"
+    QCheck.(list_of_size (Gen.int_range 1 6) (triple points_arb points_arb (int_range 0 3)))
+    (fun cases ->
+      let buf = Curve.buffer ~capacity:23 in
+      List.for_all
+        (fun (pa, pb, kind) ->
+          let a = if kind = 3 then Curve.unconstrained else Curve.of_points pa in
+          let b = Curve.of_points pb in
+          let max_points = 2 + (List.length pa mod 5) in
+          let check compose compose_into =
+            compose_into buf a b;
+            let same = beq_points (Curve.view buf) (compose a b) in
+            Curve.prune_in_place ~max_points buf;
+            same && beq_points (Curve.view buf) (Curve.prune ~max_points (compose a b))
+          in
+          check Curve.compose_h Curve.compose_h_into
+          && check Curve.compose_v Curve.compose_v_into)
+        cases)
+
+let test_buffer_capacity () =
+  let a = Curve.of_points [ (1.0, 4.0); (2.0, 2.0) ]
+  and b = Curve.of_points [ (1.5, 3.0); (3.0, 1.0) ] in
+  let small = Curve.buffer ~capacity:2 in
+  Alcotest.(check bool) "too small a buffer is rejected" true
+    (match Curve.compose_h_into small a b with
+    | exception Invalid_argument _ -> true
+    | () -> false);
+  let fits = Curve.buffer ~capacity:3 in
+  Curve.compose_v_into fits a b;
+  Alcotest.(check bool) "n1 + n2 - 1 points fit" true
+    (beq_points (Curve.view fits) (Curve.compose_v a b));
+  Curve.compose_h_into fits Curve.unconstrained Curve.unconstrained;
+  Alcotest.(check bool) "both unconstrained" true
+    (Curve.is_unconstrained (Curve.view fits))
+
 let suite =
   [ ( "shape.curve",
       [ Alcotest.test_case "of_macro" `Quick test_of_macro;
@@ -191,4 +296,7 @@ let suite =
         Alcotest.test_case "prune" `Quick test_prune;
         staircase_invariant; min_area_point_fits; compose_min_area_superadditive;
         compose_best_at_least_as_good; fits_monotone; prune_conservative;
-        compose_matches_cartesian ] ) ]
+        compose_matches_cartesian; prune_matches_pareto;
+        Alcotest.test_case "equal-width staircases occur" `Quick test_ties_generated;
+        buffer_compose_matches;
+        Alcotest.test_case "buffer capacity" `Quick test_buffer_capacity ] ) ]
