@@ -253,6 +253,81 @@ let start_cost ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~n_blocks =
   let inc = make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks in
   fun expr -> evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr
 
+(* ---- the per-start cost cache ------------------------------------- *)
+
+(* A direct-mapped table from Polish expression to cost scalar, owned by
+   one annealing start (DESIGN.md section 14). An expression is packed at
+   [cc_bits] bits per element (operand v -> v, H -> n_blocks,
+   V -> n_blocks + 1) into [cc_words] non-negative ints; a slot whose
+   first key word is -1 is empty. A hit needs the whole key to match, so
+   it returns exactly the scalar a miss would compute: the cost is a pure
+   function of the expression. The table never grows; a miss overwrites
+   its slot. *)
+let cache_slots = 4096
+
+type cache = {
+  cc_bits : int;
+  cc_per_word : int;  (* elements per key word, within 62 bits *)
+  cc_words : int;
+  cc_key : int array;  (* the packed key of the last probed expression *)
+  cc_keys : int array;  (* [cache_slots * cc_words] *)
+  cc_costs : float array;
+  mutable cc_slot : int;  (* the last probed slot *)
+  mutable cc_hits : int;
+}
+
+let make_cache ~n_blocks =
+  let rec bits b = if 1 lsl b >= n_blocks + 2 then b else bits (b + 1) in
+  let cc_bits = bits 1 in
+  let cc_per_word = 62 / cc_bits in
+  let cc_words = ((2 * n_blocks) - 1 + cc_per_word - 1) / cc_per_word in
+  { cc_bits; cc_per_word; cc_words;
+    cc_key = Array.make cc_words 0;
+    cc_keys = Array.make (cache_slots * cc_words) (-1);
+    cc_costs = Array.make cache_slots 0.0;
+    cc_slot = 0;
+    cc_hits = 0 }
+
+(* Pack [expr] into [cc_key], select its slot, and report a hit. *)
+let probe c ~n_blocks expr =
+  let key = c.cc_key in
+  Array.fill key 0 c.cc_words 0;
+  let w = ref 0 and k = ref 0 and shift = ref 0 in
+  for i = 0 to Slicing.Polish.length expr - 1 do
+    let code =
+      match Slicing.Polish.get expr i with
+      | Slicing.Polish.Operand v -> v
+      | Slicing.Polish.Operator Slicing.Polish.H -> n_blocks
+      | Slicing.Polish.Operator Slicing.Polish.V -> n_blocks + 1
+    in
+    key.(!w) <- key.(!w) lor (code lsl !shift);
+    incr k;
+    if !k = c.cc_per_word then begin
+      incr w;
+      k := 0;
+      shift := 0
+    end
+    else shift := !shift + c.cc_bits
+  done;
+  (* Multiplicative hashing; the slot takes the product's top bits. *)
+  let h = ref 0 in
+  for i = 0 to c.cc_words - 1 do
+    h := (!h lxor key.(i)) * 0x2545F4914F6CDD1D
+  done;
+  let slot = (!h lsr 51) land (cache_slots - 1) in
+  c.cc_slot <- slot;
+  let base = slot * c.cc_words in
+  let i = ref 0 in
+  while !i < c.cc_words && c.cc_keys.(base + !i) = key.(!i) do
+    incr i
+  done;
+  !i = c.cc_words
+
+(* Fill the last probed slot with its key and [cost]. *)
+let store c cost =
+  Array.blit c.cc_key 0 c.cc_keys (c.cc_slot * c.cc_words) c.cc_words;
+  c.cc_costs.(c.cc_slot) <- cost
+
 (* Full evaluation of one expression: the scalar cost plus its named
    breakdown and the per-pair / per-leaf attribution, from one walk of
    the slicing tree. Runs once per placed instance (never inside the SA
@@ -363,6 +438,31 @@ let greedy_chain ~affinity ~n_blocks ~n_endpoints =
   done;
   Array.of_list (List.rev !order)
 
+let annealing_starts ~rng ~config ~affinity ~n_blocks =
+  let chain =
+    greedy_chain ~affinity ~n_blocks ~n_endpoints:(Array.length affinity)
+  in
+  (* Honor the configured start count exactly: sa_starts = 1 runs the
+     affinity-greedy chain alone (it used to silently run the reversed
+     chain too), 2 adds the reversed chain, and anything beyond fills up
+     with random shuffles — the same construction and RNG consumption as
+     before for >= 2, so the default of 4 stays bit-identical. *)
+  let n_starts_cfg = max 1 config.Config.sa_starts in
+  let inits =
+    if n_starts_cfg = 1 then [| chain_expr ~n_blocks ~order:chain |]
+    else begin
+      let rev_chain = Array.init n_blocks (fun i -> chain.(n_blocks - 1 - i)) in
+      Array.of_list
+        (chain_expr ~n_blocks ~order:chain
+        :: chain_expr ~n_blocks ~order:rev_chain
+        :: List.init (n_starts_cfg - 2) (fun _ ->
+               Slicing.Polish.initial_random rng ~n:n_blocks))
+    end
+  in
+  (* Streams are split after every initial expression is drawn. *)
+  let rngs = Array.map (fun _ -> Util.Rng.split rng) inits in
+  Array.map2 (fun e r -> (e, r)) inits rngs
+
 let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budget () =
   let n_blocks, leaves, pairs = instance_inputs ~blocks ~affinity in
   assert (n_blocks >= 1);
@@ -381,35 +481,14 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
        start order on the calling domain, so every start's trajectory —
        and hence the reduced result — is independent of how the starts
        are scheduled across domains. *)
-    let chain = greedy_chain ~affinity ~n_blocks ~n_endpoints in
     let table = Slicing.Layout.leaf_table leaves in
     let search () =
       Guard.Fault.hit "floorplan.sa";
-      (* Honor the configured start count exactly: sa_starts = 1 runs
-         the affinity-greedy chain alone (it used to silently run the
-         reversed chain too), 2 adds the reversed chain, and anything
-         beyond fills up with random shuffles — the same construction
-         and RNG consumption as before for >= 2, so the default of 4
-         stays bit-identical. *)
-      let n_starts_cfg = max 1 config.Config.sa_starts in
-      let inits =
-        if n_starts_cfg = 1 then [| chain_expr ~n_blocks ~order:chain |]
-        else begin
-          let rev_chain =
-            Array.init n_blocks (fun i -> chain.(n_blocks - 1 - i))
-          in
-          Array.of_list
-            (chain_expr ~n_blocks ~order:chain
-            :: chain_expr ~n_blocks ~order:rev_chain
-            :: List.init (n_starts_cfg - 2) (fun _ ->
-                   Slicing.Polish.initial_random rng ~n:n_blocks))
-        end
-      in
-      let n_starts = Array.length inits in
+      let starts = annealing_starts ~rng ~config ~affinity ~n_blocks in
+      let n_starts = Array.length starts in
       (* Every start beyond the first re-anneals the same instance from
          a fresh calibrated temperature — the reheat counter. *)
       Obs.Perf.add Obs.Perf.sa_reheats (n_starts - 1);
-      let rngs = Array.init n_starts (fun _ -> Util.Rng.split rng) in
       let pool = Parexec.create ~jobs:config.Config.jobs () in
       let results =
         Parexec.map pool
@@ -417,45 +496,69 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
             let cost_of =
               start_cost ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~n_blocks
             in
-            match term_observer with
-            | None ->
-              let cost expr =
-                Guard.Budget.check ~stage:"floorplan";
-                let c, _, _ = cost_of expr in
+            let miss, observer =
+              match term_observer with
+              | None ->
+                ((fun expr ->
+                   let c, _, _ = cost_of expr in
+                   c),
+                 observer)
+              | Some on_terms ->
+                (* Telemetry-only side channel: the cost closure remembers
+                   the cheapest evaluation this start has seen (calibration
+                   samples included), and each plateau reports its named
+                   breakdown. The closure returns the identical scalar and
+                   the observer runs outside the RNG path, so trajectories
+                   and placements are unchanged (DESIGN.md §9). A cache
+                   hit was already evaluated by this start, so it can
+                   never lower the running best: the bookkeeping runs on
+                   misses only. *)
+                let best = ref infinity in
+                let best_wl = ref 0.0 in
+                let best_viol = ref Slicing.Layout.no_violations in
+                let miss expr =
+                  let c, wl, viol = cost_of expr in
+                  if not (!best <= c) then begin
+                    best := c;
+                    best_wl := wl;
+                    best_viol := viol
+                  end;
+                  c
+                in
+                let observer' p =
+                  (match observer with None -> () | Some f -> f p);
+                  on_terms p
+                    (breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol
+                       ~config ~budget ~n_pairs:(Array.length pairs))
+                in
+                (miss, Some observer')
+            in
+            (* A hit skips [Slicing.Inc] and the pair tables entirely:
+               both diff against their own last-evaluated expression,
+               never the annealer's, so they stay consistent. *)
+            let cache = make_cache ~n_blocks in
+            let cost expr =
+              Guard.Budget.check ~stage:"floorplan";
+              if probe cache ~n_blocks expr then begin
+                cache.cc_hits <- cache.cc_hits + 1;
+                cache.cc_costs.(cache.cc_slot)
+              end
+              else begin
+                let c = miss expr in
+                store cache c;
                 c
-              in
-              Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
+              end
+            in
+            let init, stream = starts.(i) in
+            let result =
+              Anneal.Sa.minimize ~rng:stream ~init ~cost
                 ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
                 ~params:config.Config.layout_sa ?observer ()
-            | Some on_terms ->
-              (* Telemetry-only side channel: the cost closure remembers
-                 the cheapest evaluation this start has seen (calibration
-                 samples included), and each plateau reports its named
-                 breakdown. The closure returns the identical scalar and
-                 the observer runs outside the RNG path, so trajectories
-                 and placements are unchanged (DESIGN.md §9). *)
-              let best = ref infinity in
-              let best_wl = ref 0.0 in
-              let best_viol = ref Slicing.Layout.no_violations in
-              let cost expr =
-                Guard.Budget.check ~stage:"floorplan";
-                let c, wl, viol = cost_of expr in
-                if not (!best <= c) then begin
-                  best := c;
-                  best_wl := wl;
-                  best_viol := viol
-                end;
-                c
-              in
-              let observer' p =
-                (match observer with None -> () | Some f -> f p);
-                on_terms p
-                  (breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol
-                     ~config ~budget ~n_pairs:(Array.length pairs))
-              in
-              Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
-                ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
-                ~params:config.Config.layout_sa ~observer:observer' ())
+            in
+            (* Flushed once per start from the local tally, like the
+               annealer's Perf counters. *)
+            Obs.Metrics.counter "floorplan.cost_cache_hits" cache.cc_hits;
+            result)
           (Array.init n_starts Fun.id)
       in
       (* Deterministic reduction: minimum best cost, ties to the lowest
@@ -479,7 +582,9 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
        construction of the slicing evaluation, just not optimized. *)
     let best_expr, sa_moves, final_temperature, sa_best_cost =
       Guard.Supervisor.protect ~stage:"floorplan.sa"
-        ~fallback:(fun _ -> (chain_expr ~n_blocks ~order:chain, 0, 0.0, None))
+        ~fallback:(fun _ ->
+          let chain = greedy_chain ~affinity ~n_blocks ~n_endpoints in
+          (chain_expr ~n_blocks ~order:chain, 0, 0.0, None))
         search
     in
     let r =

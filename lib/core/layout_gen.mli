@@ -115,7 +115,23 @@ val sa_cost :
     [(cost, wirelength_term, viol)], bit for bit the fields {!eval_expr}
     reports for the same expression; {!run} checks this once per
     instance on the winning expression and fails with the
-    [sa-cost-mismatch] diagnostic otherwise. *)
+    [sa-cost-mismatch] diagnostic otherwise. {!run} puts a per-start
+    cost cache in front of it (DESIGN.md §14); this function is the
+    uncached evaluation every cache miss performs. *)
+
+val annealing_starts :
+  rng:Util.Rng.t ->
+  config:Config.t ->
+  affinity:float array array ->
+  n_blocks:int ->
+  (Slicing.Polish.t * Util.Rng.t) array
+(** The [(initial expression, RNG stream)] of each annealing start
+    {!run} makes for an instance of [n_blocks >= 2] blocks:
+    [config.sa_starts] starts (at least one), the affinity-greedy chain,
+    the reversed chain, then random shuffles drawn from [rng], followed
+    by one stream split from [rng] per start. {!run} anneals start [i]
+    with [Anneal.Sa.minimize] from exactly this pair, so a caller can
+    replay any start. *)
 
 val run :
   ?observer:(Anneal.Sa.plateau -> unit) ->
@@ -139,6 +155,10 @@ val run :
     bit-identical for every job count. [observer] receives per-plateau
     convergence snapshots from every start (it runs on worker domains;
     the telemetry shorthands it may call are domain-safe).
+    Each start caches the cost of the expressions it has evaluated in a
+    fixed-size table and counts its hits in the
+    [floorplan.cost_cache_hits] metric; a hit returns the scalar a fresh
+    evaluation would, so the cache never changes a trajectory.
     [term_observer] additionally receives, per plateau, the named
     breakdown of the cheapest evaluation that start's cost closure has
     seen so far (calibration samples included, so it can lead the

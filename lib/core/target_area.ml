@@ -10,19 +10,22 @@ let assign tree ~sgamma ~hcb ~hcg =
     |> List.mapi (fun bi ht -> List.map (fun cid -> (cid, bi)) (Tree.cells_below tree ht))
     |> List.concat
   in
-  let label = Graphlib.Traversal.multi_source_nearest flat.Flat.gnet ~sources in
+  (* Glue cells are the only labels read, so the BFS stops as soon as
+     each of them has one instead of walking the whole flat netlist. *)
+  let glue = List.concat_map (Tree.cells_below tree) hcg in
+  let label =
+    Graphlib.Traversal.multi_source_nearest ~targets:(Array.of_list glue)
+      flat.Flat.gnet ~sources
+  in
   (* Absorb glue cell areas into the nearest block. *)
   let extra = Array.make (Array.length hcb) 0.0 in
   let orphan = ref 0.0 in
   List.iter
-    (fun ht ->
-      List.iter
-        (fun cid ->
-          let a = flat.Flat.nodes.(cid).Flat.area in
-          let l = label.(cid) in
-          if l >= 0 then extra.(l) <- extra.(l) +. a else orphan := !orphan +. a)
-        (Tree.cells_below tree ht))
-    hcg;
+    (fun cid ->
+      let a = flat.Flat.nodes.(cid).Flat.area in
+      let l = label.(cid) in
+      if l >= 0 then extra.(l) <- extra.(l) +. a else orphan := !orphan +. a)
+    glue;
   let am = Array.map (fun ht -> Tree.area tree ht) hcb in
   let am_total = Array.fold_left ( +. ) 0.0 am in
   let blocks =

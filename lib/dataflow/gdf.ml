@@ -1,11 +1,33 @@
 module H = Util.Histogram
 
+(* Block-sparse flow storage. Only pairs with a block endpoint can
+   carry flow (searches start from blocks only), so row [i < nb] spans
+   every endpoint column while a fixed row spans the block columns
+   alone; fixed-fixed pairs have no slot at all. Histograms are created
+   on first use, so a pair that never receives flow costs one [None]. *)
 type t = {
   nb : int;
   n_endpoints : int;
-  bflow : H.t array array;
-  mflow : H.t array array;
+  bflow : H.t option array array;
+  mflow : H.t option array array;
 }
+
+let make_flow ~nb ~n =
+  Array.init n (fun i -> Array.make (if i < nb then n else nb) None)
+
+(* The stored histogram of the directed pair (i, j), if any. *)
+let find flow ~nb i j = if i < nb || j < nb then flow.(i).(j) else None
+
+let add_flow flow i j ~bin ~weight =
+  let h =
+    match flow.(i).(j) with
+    | Some h -> h
+    | None ->
+      let h = H.create () in
+      flow.(i).(j) <- Some h;
+      h
+  in
+  H.add h ~bin ~weight
 
 (* Dijkstra by cumulative edge latency from a set of source Gseq nodes.
    [may_traverse v] controls which settled nodes are expanded;
@@ -75,8 +97,8 @@ let build (g : Seqgraph.t) ~n_blocks ~block_of_node ~fixed =
       assert (block_of_node v < 0);
       endpoint_of.(v) <- n_blocks + fi)
     fixed;
-  let bflow = Array.init n_endpoints (fun _ -> Array.init n_endpoints (fun _ -> H.create ())) in
-  let mflow = Array.init n_endpoints (fun _ -> Array.init n_endpoints (fun _ -> H.create ())) in
+  let bflow = make_flow ~nb:n_blocks ~n:n_endpoints in
+  let mflow = make_flow ~nb:n_blocks ~n:n_endpoints in
   (* Component lists per endpoint. *)
   let members = Array.make n_endpoints [] in
   Array.iteri
@@ -96,10 +118,10 @@ let build (g : Seqgraph.t) ~n_blocks ~block_of_node ~fixed =
     let j = endpoint_of.(node) in
     if j >= 0 && j <> i then begin
       match direction with
-      | `Fwd -> H.add flow.(i).(j) ~bin:latency ~weight:(float_of_int via_width)
+      | `Fwd -> add_flow flow i j ~bin:latency ~weight:(float_of_int via_width)
       | `Bwd ->
         if j >= n_blocks then
-          H.add flow.(j).(i) ~bin:latency ~weight:(float_of_int via_width)
+          add_flow flow j i ~bin:latency ~weight:(float_of_int via_width)
     end
   in
   (* Block flow: traverse only glue registers (no endpoint membership,
@@ -136,51 +158,65 @@ let endpoint_count t = t.n_endpoints
 
 let n_blocks t = t.nb
 
-let block_flow t i j = t.bflow.(i).(j)
+(* A fresh empty histogram for a pair without stored flow, so callers
+   never share (or mutate) one another's. *)
+let flow_of flow t i j =
+  match find flow ~nb:t.nb i j with Some h -> h | None -> H.create ()
 
-let macro_flow t i j = t.mflow.(i).(j)
+let block_flow t i j = flow_of t.bflow t i j
 
+let macro_flow t i j = flow_of t.mflow t i j
+
+let score_of flow ~nb ~k i j =
+  match find flow ~nb i j with None -> 0.0 | Some h -> H.score h ~k
+
+(* Only block rows and block columns can be non-zero, so the scores are
+   kept as [nb] rows over every endpoint column: [s.(i).(j)] for a block
+   [i] holds the symmetric pair score of (i, j), and the mirror of a
+   fixed column [j] is the same entry. Every other matrix entry is
+   exactly 0.0, which is what the dense computation produced for it:
+   an empty pair scores 0.0, 0.0 never raises a maximum of non-negative
+   scores, [0.0 /. mx] is 0.0 and [lambda *. 0.0 +. (1 - lambda) *. 0.0]
+   is 0.0. *)
 let affinity_matrix t ~lambda ~k ?(normalize = true) () =
   assert (lambda >= 0.0 && lambda <= 1.0 && k >= 0);
-  let n = t.n_endpoints in
-  let pair_score flow i j = H.score flow.(i).(j) ~k +. H.score flow.(j).(i) ~k in
+  let n = t.n_endpoints and nb = t.nb in
   let scores flow =
-    let m = Array.make_matrix n n 0.0 in
-    for i = 0 to n - 1 do
+    let m = Array.make_matrix nb n 0.0 in
+    for i = 0 to nb - 1 do
       for j = i + 1 to n - 1 do
-        let s = pair_score flow i j in
+        let s = score_of flow ~nb ~k i j +. score_of flow ~nb ~k j i in
         m.(i).(j) <- s;
-        m.(j).(i) <- s
+        if j < nb then m.(j).(i) <- s
       done
     done;
     m
   in
-  let sb = scores t.bflow and sm = scores t.mflow in
-  let max_of m =
-    Array.fold_left (fun acc row -> Array.fold_left max acc row) 0.0 m
-  in
   let norm m =
-    let mx = max_of m in
-    if normalize && mx > 0.0 then
-      Array.map (Array.map (fun x -> x /. mx)) m
-    else m
+    let mx = Array.fold_left (fun acc row -> Array.fold_left max acc row) 0.0 m in
+    if normalize && mx > 0.0 then Array.map (Array.map (fun x -> x /. mx)) m else m
   in
-  let sb = norm sb and sm = norm sm in
+  let sb = norm (scores t.bflow) and sm = norm (scores t.mflow) in
   let out = Array.make_matrix n n 0.0 in
-  for i = 0 to n - 1 do
+  for i = 0 to nb - 1 do
     for j = 0 to n - 1 do
-      out.(i).(j) <- (lambda *. sb.(i).(j)) +. ((1.0 -. lambda) *. sm.(i).(j))
+      let a = (lambda *. sb.(i).(j)) +. ((1.0 -. lambda) *. sm.(i).(j)) in
+      out.(i).(j) <- a;
+      if j >= nb then out.(j).(i) <- a
     done
   done;
   out
 
 let edge_count t =
-  let n = t.n_endpoints in
+  let nb = t.nb in
+  let empty flow i j =
+    match find flow ~nb i j with None -> true | Some h -> H.is_empty h
+  in
   let c = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if not (H.is_empty t.bflow.(i).(j) && H.is_empty t.bflow.(j).(i)
-              && H.is_empty t.mflow.(i).(j) && H.is_empty t.mflow.(j).(i))
+  for i = 0 to nb - 1 do
+    for j = i + 1 to t.n_endpoints - 1 do
+      if not (empty t.bflow i j && empty t.bflow j i && empty t.mflow i j
+              && empty t.mflow j i)
       then incr c
     done
   done;

@@ -14,7 +14,16 @@
     Histogram bins index path latency (sum of Gseq edge latencies) and
     heights accumulate connection bits. The affinity of a pair blends the
     two flows: [lambda * score(block) + (1 - lambda) * score(macro)]
-    where [score h = sum_i bits_i / latency_i^k]. *)
+    where [score h = sum_i bits_i / latency_i^k].
+
+    {b Storage is block-sparse.} Searches start from blocks only, so a
+    pair of two fixed endpoints never carries flow. Histograms exist
+    only for pairs with a block endpoint (block rows over every column,
+    fixed rows over block columns) and only once they receive flow;
+    {!affinity_matrix} scores, normalizes and blends only block rows and
+    columns, and every other entry is exactly 0.0. The results equal the
+    dense computation over all endpoint pairs bit for bit
+    ([test_dataflow.ml] keeps that dense reference). *)
 
 type t
 
@@ -35,7 +44,8 @@ val endpoint_count : t -> int
 val n_blocks : t -> int
 
 val block_flow : t -> int -> int -> Util.Histogram.t
-(** Directed block-flow histogram between endpoint indices. *)
+(** Directed block-flow histogram between endpoint indices; a fresh
+    empty histogram for a pair without flow (every fixed-fixed pair). *)
 
 val macro_flow : t -> int -> int -> Util.Histogram.t
 

@@ -19,18 +19,37 @@ let bfs_layers g ~sources ~direction ~visit ?(expand = fun _ -> true) () =
     if expand u then step u (fun v -> enqueue v (dist.(u) + 1) u)
   done
 
-let multi_source_nearest g ~sources =
+let multi_source_nearest ?targets g ~sources =
   let n = Digraph.node_count g in
   let label = Array.make n (-1) in
+  (* With [targets], count the targets still unlabelled: a label is
+     final when its node is enqueued, so the search can stop as soon as
+     the count reaches zero without changing any target's label. *)
+  let is_target, pending =
+    match targets with
+    | None -> ([||], ref (-1))
+    | Some ts ->
+      let mark = Array.make n false in
+      let k = ref 0 in
+      Array.iter
+        (fun v ->
+          if not mark.(v) then begin
+            mark.(v) <- true;
+            incr k
+          end)
+        ts;
+      (mark, k)
+  in
   let q = Queue.create () in
   let enqueue node l =
     if label.(node) < 0 then begin
       label.(node) <- l;
+      if !pending > 0 && is_target.(node) then decr pending;
       Queue.push node q
     end
   in
   List.iter (fun (node, l) -> enqueue node l) sources;
-  while not (Queue.is_empty q) do
+  while !pending <> 0 && not (Queue.is_empty q) do
     let u = Queue.pop q in
     let l = label.(u) in
     Digraph.succ_iter g u (fun v -> enqueue v l);

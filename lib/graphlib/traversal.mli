@@ -13,12 +13,18 @@ val bfs_layers :
     [parent = -1]); the search continues through a node only when
     [expand node] is true (defaults to always). *)
 
-val multi_source_nearest : Digraph.t -> sources:(int * int) list -> int array
+val multi_source_nearest :
+  ?targets:int array -> Digraph.t -> sources:(int * int) list -> int array
 (** [multi_source_nearest g ~sources] labels every reachable node (in the
     undirected sense: both edge directions are followed) with the label of
     its nearest source, breaking ties by search order. [sources] is a list
     of [(node, label)]. Unreached nodes get label [-1]. This is the
-    paper's glue-logic absorption search (Fig. 6). *)
+    paper's glue-logic absorption search (Fig. 6).
+
+    With [targets], the search stops once every target node is labelled.
+    Each target gets exactly the label of the full search (labels are
+    final when a node is first reached); other nodes may be left at
+    [-1]. *)
 
 val distances_from : Digraph.t -> sources:int list -> int array
 (** Forward BFS distance from the source set; [-1] when unreachable. *)

@@ -129,7 +129,7 @@ let macros_below t id =
   fold_subtree t id
     (fun acc n -> match n.kind with Macro_cell cid -> cid :: acc | Scope _ | Glue _ -> acc)
     []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let cells_below t id =
   fold_subtree t id
@@ -143,7 +143,7 @@ let cells_below t id =
           acc t.flat.Flat.scopes.(sid).Flat.scells
       | Scope _ -> acc)
     []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let ht_node_of_flat t cid =
   let c = t.flat.Flat.nodes.(cid) in

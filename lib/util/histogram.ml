@@ -17,7 +17,7 @@ let max_bin t = Hashtbl.fold (fun b _ acc -> max b acc) t (-1)
 
 let bins t =
   let l = Hashtbl.fold (fun b v acc -> (b, v) :: acc) t [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) l
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) l
 
 let merge a b =
   let t = create () in

@@ -141,6 +141,39 @@ let test_target_area () =
   let at_sum = Array.fold_left (fun a (b : Hidap.Block.t) -> a +. b.Hidap.Block.at) 0.0 blocks in
   check_float "at sums to the whole instance area" (Tree.area tree root) at_sum
 
+(* Target-area assignment reads the nearest-block label of glue cells
+   only, so its search stops once they are all labelled. On every
+   decluster instance of c1 (two levels deep) each glue cell must get
+   the full search's label. *)
+let test_target_area_early_exit () =
+  let flat =
+    match Circuitgen.Suite.find "c1" with
+    | Some c -> Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params)
+    | None -> Alcotest.fail "c1 missing from the suite"
+  in
+  let tree = Tree.build flat in
+  let check nh =
+    let dc = Hier.Decluster.run tree ~nh ~open_frac:0.4 ~min_frac:0.01 in
+    let sources =
+      List.concat
+        (List.mapi
+           (fun bi ht -> List.map (fun cid -> (cid, bi)) (Tree.cells_below tree ht))
+           dc.Hier.Decluster.hcb)
+    in
+    let glue =
+      Array.of_list (List.concat_map (Tree.cells_below tree) dc.Hier.Decluster.hcg)
+    in
+    let full = Graphlib.Traversal.multi_source_nearest flat.Flat.gnet ~sources in
+    let early =
+      Graphlib.Traversal.multi_source_nearest ~targets:glue flat.Flat.gnet ~sources
+    in
+    Array.iter
+      (fun cid -> Alcotest.(check int) "glue cell label" full.(cid) early.(cid))
+      glue;
+    dc.Hier.Decluster.hcb
+  in
+  List.iter (fun ht -> ignore (check ht)) (check (Tree.root tree))
+
 (* ---- layout generation --------------------------------------------- *)
 
 let test_layout_gen_single_block () =
@@ -449,7 +482,9 @@ let suite =
       [ Alcotest.test_case "leaf curves" `Quick test_sgamma_leaves;
         Alcotest.test_case "packing quality" `Quick test_sgamma_packing_quality ] );
     ( "hidap.target_area",
-      [ Alcotest.test_case "assignment" `Quick test_target_area ] );
+      [ Alcotest.test_case "assignment" `Quick test_target_area;
+        Alcotest.test_case "BFS early exit labels glue cells exactly" `Quick
+          test_target_area_early_exit ] );
     ( "hidap.layout_gen",
       [ Alcotest.test_case "single block" `Quick test_layout_gen_single_block;
         Alcotest.test_case "single block penalized" `Quick

@@ -199,6 +199,129 @@ let test_no_block_through_block () =
   Alcotest.(check bool) "A -> B direct" false (H.is_empty (Gdf.block_flow gdf 0 1));
   Alcotest.(check bool) "A -> C blocked by B" true (H.is_empty (Gdf.block_flow gdf 0 2))
 
+(* ---- block-sparse storage against the dense computation ------------- *)
+
+(* A random Gseq: macros, registers and ports joined by random edges of
+   random width and latency. Every non-port node may belong to a block;
+   fixed endpoints are all ports plus the macros outside every block. *)
+let random_gdf seed =
+  let rng = Util.Rng.create seed in
+  let n = 3 + Util.Rng.int rng 40 in
+  let nodes =
+    Array.init n (fun id ->
+        let kind =
+          match Util.Rng.int rng 4 with
+          | 0 -> Seqgraph.Macro id
+          | 1 -> Seqgraph.Port [ id ]
+          | _ -> Seqgraph.Register [ id ]
+        in
+        { Seqgraph.id; kind; name = Printf.sprintf "n%d" id; scope = 0;
+          bits = 1 + Util.Rng.int rng 32 })
+  in
+  let edges =
+    Array.init (Util.Rng.int rng (3 * n)) (fun _ ->
+        { Seqgraph.src = Util.Rng.int rng n;
+          dst = Util.Rng.int rng n;
+          width = 1 + Util.Rng.int rng 64;
+          latency = Util.Rng.int rng 4 })
+  in
+  let out_edges = Array.make n [] and in_edges = Array.make n [] in
+  Array.iteri
+    (fun ei (e : Seqgraph.edge) ->
+      out_edges.(e.Seqgraph.src) <- ei :: out_edges.(e.Seqgraph.src);
+      in_edges.(e.Seqgraph.dst) <- ei :: in_edges.(e.Seqgraph.dst))
+    edges;
+  let g = { Seqgraph.nodes; edges; out_edges; in_edges; of_flat = [||] } in
+  let n_blocks = 1 + Util.Rng.int rng 5 in
+  let block =
+    Array.map
+      (fun nd ->
+        if Seqgraph.is_port_node nd || Util.Rng.int rng 3 = 0 then -1
+        else Util.Rng.int rng n_blocks)
+      nodes
+  in
+  let fixed =
+    Array.of_list
+      (List.filter
+         (fun v ->
+           block.(v) < 0
+           && (Seqgraph.is_port_node nodes.(v) || Seqgraph.is_macro_node nodes.(v)))
+         (List.init n Fun.id))
+  in
+  Gdf.build g ~n_blocks ~block_of_node:(fun v -> block.(v)) ~fixed
+
+(* The dense affinity computation the block-sparse one replaced: score,
+   normalize and blend every endpoint pair through the public flows. *)
+let dense_affinity gdf ~lambda ~k ~normalize =
+  let n = Gdf.endpoint_count gdf in
+  let scores flow =
+    let m = Array.make_matrix n n 0.0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let s = H.score (flow gdf i j) ~k +. H.score (flow gdf j i) ~k in
+        m.(i).(j) <- s;
+        m.(j).(i) <- s
+      done
+    done;
+    m
+  in
+  let norm m =
+    let mx = Array.fold_left (fun acc row -> Array.fold_left max acc row) 0.0 m in
+    if normalize && mx > 0.0 then Array.map (Array.map (fun x -> x /. mx)) m else m
+  in
+  let sb = norm (scores Gdf.block_flow) and sm = norm (scores Gdf.macro_flow) in
+  Array.init n (fun i ->
+      Array.init n (fun j -> (lambda *. sb.(i).(j)) +. ((1.0 -. lambda) *. sm.(i).(j))))
+
+let dense_edge_count gdf =
+  let n = Gdf.endpoint_count gdf in
+  let c = ref 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if not (List.for_all H.is_empty
+                [ Gdf.block_flow gdf i j; Gdf.block_flow gdf j i;
+                  Gdf.macro_flow gdf i j; Gdf.macro_flow gdf j i ])
+      then incr c
+    done
+  done;
+  !c
+
+let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let sparse_affinity_is_dense =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"block-sparse affinity = dense reference, bitwise"
+       (QCheck.int_range 0 1_000_000)
+       (fun seed ->
+         let gdf = random_gdf seed in
+         Gdf.edge_count gdf = dense_edge_count gdf
+         && List.for_all
+              (fun (lambda, k, normalize) ->
+                let m = Gdf.affinity_matrix gdf ~lambda ~k ~normalize () in
+                let d = dense_affinity gdf ~lambda ~k ~normalize in
+                Array.for_all2 (Array.for_all2 bits_equal) m d)
+              [ (0.5, 2, true); (0.0, 1, true); (1.0, 0, false); (0.3, 2, false) ]))
+
+(* Searches start from blocks only, so a pair of fixed endpoints never
+   carries flow in either view. *)
+let fixed_pairs_are_empty =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"fixed-fixed block and macro flow are empty"
+       (QCheck.int_range 0 1_000_000)
+       (fun seed ->
+         let gdf = random_gdf seed in
+         let nb = Gdf.n_blocks gdf and n = Gdf.endpoint_count gdf in
+         let ok = ref true in
+         for i = nb to n - 1 do
+           for j = nb to n - 1 do
+             if not (H.is_empty (Gdf.block_flow gdf i j)
+                     && H.is_empty (Gdf.macro_flow gdf i j))
+             then ok := false
+           done
+         done;
+         !ok))
+
 let suite =
   [ ( "dataflow.gdf",
       [ Alcotest.test_case "block flow latency" `Quick test_block_flow_latency;
@@ -212,4 +335,5 @@ let suite =
         Alcotest.test_case "port flow" `Quick test_block_port_flow;
         Alcotest.test_case "edge count" `Quick test_edge_count;
         Alcotest.test_case "blocks are opaque to block flow" `Quick
-          test_no_block_through_block ] ) ]
+          test_no_block_through_block;
+        sparse_affinity_is_dense; fixed_pairs_are_empty ] ) ]

@@ -167,6 +167,29 @@ let bfs_dist_shortest =
         (fun (a, b) -> d.(a) < 0 || (d.(b) >= 0 && d.(b) <= d.(a) + 1))
         edges)
 
+(* The target-area search stops once every glue cell is labelled; each
+   target must still get the full search's label. Random graphs with
+   random source labels and a random target set, some of them
+   unreachable. *)
+let nearest_early_exit_exact =
+  qtest ~count:300 "nearest with targets = full search on every target"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let n = 2 + Util.Rng.int rng 60 in
+      let g = G.create n in
+      for _ = 1 to Util.Rng.int rng (2 * n) do
+        G.add_edge g (Util.Rng.int rng n) (Util.Rng.int rng n)
+      done;
+      let sources =
+        List.init (1 + Util.Rng.int rng 4) (fun _ ->
+            (Util.Rng.int rng n, Util.Rng.int rng 5))
+      in
+      let targets = Array.init (Util.Rng.int rng n) (fun _ -> Util.Rng.int rng n) in
+      let full = Tr.multi_source_nearest g ~sources in
+      let early = Tr.multi_source_nearest ~targets g ~sources in
+      Array.for_all (fun v -> early.(v) = full.(v)) targets)
+
 let suite =
   [ ( "graphlib.digraph",
       [ Alcotest.test_case "basic" `Quick test_digraph_basic;
@@ -183,4 +206,4 @@ let suite =
         Alcotest.test_case "topological" `Quick test_topological;
         Alcotest.test_case "reachable" `Quick test_reachable;
         Alcotest.test_case "components" `Quick test_components;
-        topo_respects_edges; bfs_dist_shortest ] ) ]
+        topo_respects_edges; bfs_dist_shortest; nearest_early_exit_exact ] ) ]

@@ -5,7 +5,8 @@
    the same expression — violations, rectangles and centers; the
    annealer's per-start cost function returns, move after move, the
    cost, wirelength and violations of the full [Layout_gen.eval_expr];
-   [Layout_gen.run] is bit-identical at every job count; the
+   [Layout_gen.run] is bit-identical at every job count and, behind its
+   per-start cost cache, to the same search on the uncached cost; the
    configured start count is honored exactly (sa_starts = 1 runs one
    start); and an asymmetric affinity matrix is rejected with a
    structured diagnostic instead of silently dropping weight. *)
@@ -296,6 +297,145 @@ let fixed_instance n =
   in
   (blocks, affinity, fixed_pos, budget)
 
+(* ---- the per-start cost cache --------------------------------------- *)
+
+let expr_key e =
+  String.concat " "
+    (List.map
+       (function
+         | Polish.Operand v -> string_of_int v
+         | Polish.Operator Polish.H -> "H"
+         | Polish.Operator Polish.V -> "V")
+       (Array.to_list (Polish.elements e)))
+
+let beq_plateau (a : Anneal.Sa.plateau) (b : Anneal.Sa.plateau) =
+  a.Anneal.Sa.index = b.Anneal.Sa.index
+  && beq a.Anneal.Sa.temperature b.Anneal.Sa.temperature
+  && beq a.Anneal.Sa.current_cost b.Anneal.Sa.current_cost
+  && beq a.Anneal.Sa.plateau_best_cost b.Anneal.Sa.plateau_best_cost
+  && a.Anneal.Sa.plateau_moves = b.Anneal.Sa.plateau_moves
+  && a.Anneal.Sa.plateau_accepted = b.Anneal.Sa.plateau_accepted
+  && a.Anneal.Sa.total_moves = b.Anneal.Sa.total_moves
+
+let beq_breakdown (a : LG.breakdown) (b : LG.breakdown) =
+  List.for_all2 (fun (_, x) (_, y) -> beq x y) (LG.breakdown_terms a)
+    (LG.breakdown_terms b)
+
+(* [Layout_gen.run]'s search rebuilt on the uncached [Layout_gen.sa_cost]:
+   the same starts, streams, moves and reduction, with the running-best
+   bookkeeping of the term observer done on every call. Returns the full
+   evaluation of the winner, the per-plateau (snapshot, breakdown) log
+   in start order, and the largest number of distinct expressions one
+   start evaluated. *)
+let reference_run ~rng ~config ~blocks ~affinity ~fixed_pos ~budget =
+  let n_blocks = Array.length blocks in
+  let n_pairs =
+    Array.length
+      (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget
+         (Polish.initial ~n:n_blocks))
+        .LG.attribution.LG.attr_pairs
+  in
+  let log = ref [] and distinct_max = ref 0 in
+  let results =
+    Array.map
+      (fun (init, srng) ->
+        let cost_of = LG.sa_cost ~config ~blocks ~affinity ~fixed_pos ~budget in
+        let seen = Hashtbl.create 4096 in
+        let best = ref infinity and best_wl = ref 0.0 in
+        let best_viol = ref Layout.no_violations in
+        let cost e =
+          Hashtbl.replace seen (expr_key e) ();
+          let c, wl, viol = cost_of e in
+          if not (!best <= c) then begin
+            best := c;
+            best_wl := wl;
+            best_viol := viol
+          end;
+          c
+        in
+        let observer p =
+          log :=
+            ( p,
+              LG.breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol
+                ~config ~budget ~n_pairs )
+            :: !log
+        in
+        let r =
+          Anneal.Sa.minimize ~rng:srng ~init ~cost
+            ~neighbor:(fun rng e -> Polish.perturb rng e)
+            ~params:config.Hidap.Config.layout_sa ~observer ()
+        in
+        distinct_max := max !distinct_max (Hashtbl.length seen);
+        r)
+      (LG.annealing_starts ~rng ~config ~affinity ~n_blocks)
+  in
+  let best_i = ref 0 in
+  Array.iteri
+    (fun i (r : _ Anneal.Sa.result) ->
+      if r.Anneal.Sa.best_cost < results.(!best_i).Anneal.Sa.best_cost then best_i := i)
+    results;
+  let sa_moves =
+    Array.fold_left
+      (fun acc (r : _ Anneal.Sa.result) ->
+        acc + r.Anneal.Sa.moves + r.Anneal.Sa.calibration_moves)
+      0 results
+  in
+  let r = LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget
+      results.(!best_i).Anneal.Sa.best in
+  ({ r with LG.sa_moves }, List.rev !log, !distinct_max)
+
+(* The cached search against the reference, both without and with the
+   observers: same winner (hence rectangles and cost), same move count,
+   and the same per-plateau snapshots and running-best breakdowns. *)
+let cached_matches_reference ~seed ~config ~blocks ~affinity ~fixed_pos ~budget =
+  let reference, ref_log, distinct =
+    reference_run ~rng:(Util.Rng.create seed) ~config ~blocks ~affinity ~fixed_pos
+      ~budget
+  in
+  let plain =
+    LG.run ~rng:(Util.Rng.create seed) ~config ~blocks ~affinity ~fixed_pos ~budget ()
+  in
+  let log = ref [] in
+  let observed =
+    LG.run ~rng:(Util.Rng.create seed) ~config ~blocks ~affinity ~fixed_pos ~budget
+      ~term_observer:(fun p bd -> log := (p, bd) :: !log)
+      ()
+  in
+  let log = List.rev !log in
+  ( same_result plain reference
+    && same_result observed reference
+    && List.length log = List.length ref_log
+    && List.for_all2
+         (fun (p, bd) (rp, rbd) -> beq_plateau p rp && beq_breakdown bd rbd)
+         log ref_log,
+    distinct )
+
+let cache_matches_uncached =
+  qtest ~count:30 "cached run = SA on the uncached cost, 2-8 blocks, both paths"
+    seed_arb (fun seed ->
+      let blocks, affinity, fixed_pos, budget = random_instance seed in
+      fst
+        (cached_matches_reference ~seed:(seed + 7) ~config:(fast_config ~jobs:1)
+           ~blocks ~affinity ~fixed_pos ~budget))
+
+(* A full schedule on 7 blocks visits more distinct expressions in one
+   start than the cache has slots, so slots are overwritten and probes
+   collide; the run must still match the uncached search exactly. *)
+let test_cache_collisions () =
+  let blocks, affinity, fixed_pos, budget = fixed_instance 7 in
+  let config =
+    { Hidap.Config.default with
+      Hidap.Config.jobs = 1;
+      sa_starts = 2;
+      layout_sa = { Anneal.Sa.default_params with Anneal.Sa.moves_per_plateau = 192 } }
+  in
+  let same, distinct =
+    cached_matches_reference ~seed:11 ~config ~blocks ~affinity ~fixed_pos ~budget
+  in
+  if distinct <= 4096 then
+    Alcotest.failf "one start evaluated only %d distinct expressions" distinct;
+  Alcotest.(check bool) "cached run = uncached SA under slot collisions" true same
+
 let minor_words f =
   let before = Gc.minor_words () in
   f ();
@@ -413,6 +553,9 @@ let suite =
   [ ( "incremental",
       [ inc_matches_full_random_walk; inc_matches_full_per_move;
         inc_handles_reverts; inc_matches_full_long_curves; sa_cost_matches_full; run_is_jobs_neutral;
+        cache_matches_uncached;
+        Alcotest.test_case "cached run matches under slot collisions" `Quick
+          test_cache_collisions;
         Alcotest.test_case "warm Inc.evaluate allocates a constant" `Quick
           test_inc_evaluate_allocation;
         Alcotest.test_case "an SA move allocates at most 256 words" `Quick
