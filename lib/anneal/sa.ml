@@ -139,18 +139,14 @@ let minimize ~rng ~init ~cost ~neighbor ?(params = default_params) ?observer () 
           total_moves = !moves });
     temp := !temp *. params.cooling
   done;
-  (* Perf counters are flushed once per run from the loop's own local
+  (* Counters are flushed once per run from the loop's own local
      tallies, so the annealing inner loop carries no telemetry work at
-     all — not even a branch — and the totals are identical to per-move
-     bumps (the ≤2% budget in DESIGN.md §12 is asserted by bench). *)
-  if Obs.Perf.enabled () then begin
-    let h = Obs.Perf.ambient () in
-    Obs.Perf.bump h Obs.Perf.sa_moves !moves;
-    Obs.Perf.bump h Obs.Perf.sa_accepts !accepted;
-    Obs.Perf.bump h Obs.Perf.sa_rejects (!moves - !accepted);
-    Obs.Perf.bump h Obs.Perf.sa_plateaus !plateaus;
-    (* moves + calibration samples + the initial-state evaluation *)
-    Obs.Perf.bump h Obs.Perf.cost_evals (!moves + calibration_moves + 1)
-  end;
+     all — not even a branch. *)
+  Obs.Metrics.counter "sa.moves" !moves;
+  Obs.Metrics.counter "sa.accepts" !accepted;
+  Obs.Metrics.counter "sa.rejects" (!moves - !accepted);
+  Obs.Metrics.counter "sa.plateaus" !plateaus;
+  (* moves + calibration samples + the initial-state evaluation *)
+  Obs.Metrics.counter "cost.evals" (!moves + calibration_moves + 1);
   { best = !best; best_cost = !best_cost; moves = !moves; accepted = !accepted;
     plateaus = !plateaus; calibration_moves; final_temperature = !temp }

@@ -488,7 +488,7 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
       let n_starts = Array.length starts in
       (* Every start beyond the first re-anneals the same instance from
          a fresh calibrated temperature — the reheat counter. *)
-      Obs.Perf.add Obs.Perf.sa_reheats (n_starts - 1);
+      Obs.Metrics.counter "sa.reheats" (n_starts - 1);
       let pool = Parexec.create ~jobs:config.Config.jobs () in
       let results =
         Parexec.map pool
@@ -556,7 +556,7 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
                 ~params:config.Config.layout_sa ?observer ()
             in
             (* Flushed once per start from the local tally, like the
-               annealer's Perf counters. *)
+               annealer's own counters. *)
             Obs.Metrics.counter "floorplan.cost_cache_hits" cache.cc_hits;
             result)
           (Array.init n_starts Fun.id)

@@ -31,9 +31,8 @@ let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
    remainder against the accumulated pool-open wall time. The numbers
    are timing observations — inherently schedule-dependent — so they
    are surfaced here and in the QoR record's perf section, never
-   through [Obs.Metrics] (whose output is schedule-independent) or
-   [Obs.Perf] (whose merged counts are identical for every job
-   count). Nested sequential maps are not recorded: their busy time is
+   through [Obs.Metrics] (whose output is schedule-independent).
+   Nested sequential maps are not recorded: their busy time is
    already inside the enclosing task's. *)
 
 type worker_stats = { tasks : int; steals : int; busy_us : float }
@@ -73,9 +72,9 @@ let pool_stats () =
   Mutex.unlock stats_lock;
   st
 
-type ('b, 'reg, 'span, 'perf) slot =
+type ('b, 'reg, 'span) slot =
   | Pending
-  | Done of 'b * 'reg option * 'span list * 'perf option
+  | Done of 'b * 'reg option * 'span list
   | Failed of exn * Printexc.raw_backtrace
 
 let map t f xs =
@@ -87,7 +86,6 @@ let map t f xs =
        must not flip collection on for some tasks and off for
        others. *)
     let metrics_on = Obs.Metrics.enabled () in
-    let perf_on = Obs.Perf.enabled () in
     let tracing = Obs.Span.enabled () in
     let slots = Array.make n Pending in
     let run_task i =
@@ -95,24 +93,18 @@ let map t f xs =
       Domain.DLS.set in_task true;
       (match
          let reg = if metrics_on then Some (Obs.Metrics.create ()) else None in
-         let perf = if perf_on then Some (Obs.Perf.create ()) else None in
          let body () = f xs.(i) in
-         let in_perf () =
-           match perf with
-           | Some p -> Obs.Perf.with_ambient p body
-           | None -> body ()
-         in
          let in_registry () =
            match reg with
-           | Some r -> Obs.Metrics.with_ambient r in_perf
-           | None -> in_perf ()
+           | Some r -> Obs.Metrics.with_ambient r body
+           | None -> body ()
          in
          let v, spans =
            if tracing then Obs.Span.capture in_registry else (in_registry (), [])
          in
-         (v, reg, spans, perf)
+         (v, reg, spans)
        with
-      | v, reg, spans, perf -> slots.(i) <- Done (v, reg, spans, perf)
+      | v, reg, spans -> slots.(i) <- Done (v, reg, spans)
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         slots.(i) <- Failed (e, bt));
@@ -162,12 +154,9 @@ let map t f xs =
        collections depend only on the tasks, never on the schedule. *)
     Array.iter
       (function
-        | Done (_, reg, spans, perf) ->
+        | Done (_, reg, spans) ->
           (match reg with
           | Some r -> Obs.Metrics.merge_into (Obs.Metrics.ambient ()) r
-          | None -> ());
-          (match perf with
-          | Some p -> Obs.Perf.merge_into (Obs.Perf.ambient ()) p
           | None -> ());
           Obs.Span.graft spans
         | Pending | Failed _ -> ())
@@ -179,7 +168,7 @@ let map t f xs =
       slots;
     Array.map
       (function
-        | Done (v, _, _, _) -> v
+        | Done (v, _, _) -> v
         | Pending | Failed _ -> assert false)
       slots
   end

@@ -11,11 +11,10 @@
     - the first exception {e by task index} (not by wall-clock) is
       re-raised with its backtrace;
     - telemetry is domain-safe and deterministic: each task runs with
-      its own fresh {!Obs.Metrics} ambient registry, its own
-      {!Obs.Perf} counter array and its own {!Obs.Span} recorder (each
-      only when the respective sink is enabled), and the per-task
-      collections are merged back into the caller's collectors in task
-      order at the join point. Enabling telemetry never changes the
+      its own fresh {!Obs.Metrics} ambient registry and its own
+      {!Obs.Span} recorder (each only when the respective sink is
+      enabled), and the per-task collections are merged back into the
+      caller's collectors in task order at the join point. Enabling telemetry never changes the
       tasks' trajectory, and the merged telemetry is the same for any
       job count.
 

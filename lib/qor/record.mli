@@ -68,7 +68,9 @@ type pool_worker = {
 
 type perf_info = {
   perf_counters : (string * int) list;
-      (** merged {!Obs.Perf} counters, deterministic across job counts *)
+      (** the flow's seven work counters ([sa.moves] ... [floorplan.instances])
+          from the merged {!Obs.Metrics} registry, deterministic across
+          job counts *)
   perf_moves_per_s : float;  (** sa.moves / wall_s; 0 when wall_s = 0 *)
   perf_wall_s : float;  (** wall-clock of the placement flow *)
   pool_workers : pool_worker list;
@@ -140,7 +142,7 @@ type t = {
       (** checkpoint/resume summary; [None] when the run did not
           checkpoint (including every pre-v2 record) *)
   perf : perf_info option;
-      (** hot-path performance section (perf counters, pool utilization,
+      (** hot-path performance section (work counters, pool utilization,
           sampled profile); [None] when the run was not instrumented.
           Added as a backward-compatible field — no version bump. *)
   cost_breakdown : cost_breakdown option;

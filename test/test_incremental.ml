@@ -505,19 +505,19 @@ let test_sa_starts_honored () =
         { (fast_config ~jobs:1) with
           Hidap.Config.sa_starts = n_starts }
       in
-      let reg = Obs.Perf.create () in
-      Obs.Perf.set_enabled true;
+      let reg = Obs.Metrics.create () in
+      Obs.Metrics.set_enabled true;
       Fun.protect
-        ~finally:(fun () -> Obs.Perf.set_enabled false)
+        ~finally:(fun () -> Obs.Metrics.set_enabled false)
         (fun () ->
-          Obs.Perf.with_ambient reg (fun () ->
+          Obs.Metrics.with_ambient reg (fun () ->
               ignore
                 (LG.run ~rng:(Util.Rng.create 1) ~config ~blocks ~affinity
                    ~fixed_pos ~budget ())));
-      Alcotest.(check int)
+      Alcotest.(check (option int))
         (Printf.sprintf "sa_starts = %d runs exactly %d starts" n_starts n_starts)
-        (n_starts - 1)
-        (Obs.Perf.get reg Obs.Perf.sa_reheats))
+        (Some (n_starts - 1))
+        (Obs.Metrics.counter_value reg "sa.reheats"))
     [ 1; 2; 4 ]
 
 (* ---- asymmetric affinity is rejected -------------------------------- *)

@@ -273,27 +273,40 @@ let test_place_determinism_under_tracing () =
     | _ -> false);
   Alcotest.(check bool) "at least 8 named metrics" true (n_metrics >= 8)
 
-(* Perf counters are merged in task order at every join point, so the
+(* The flow's work counters, in the order the perf section lists them. *)
+let work_counters =
+  [ "sa.moves"; "sa.accepts"; "sa.rejects"; "sa.plateaus"; "sa.reheats"; "cost.evals";
+    "floorplan.instances" ]
+
+(* Place fig1 with metrics on and read the work counters back from the
+   global registry (0 for a counter never bumped). *)
+let place_counting ~jobs flat =
+  let config = { Hidap.Config.default with Hidap.Config.jobs } in
+  Metrics.reset Metrics.global;
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset Metrics.global)
+    (fun () ->
+      let r = Hidap.place ~config flat in
+      let counts =
+        List.map
+          (fun name ->
+            (name, Option.value ~default:0 (Metrics.counter_value Metrics.global name)))
+          work_counters
+      in
+      (r, counts))
+
+(* Work counters are merged in task order at every join point, so the
    merged totals — and the placement itself — must be bit-identical for
    every job count (DESIGN.md §9/§12). *)
 let test_perf_merge_determinism () =
   let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
-  let run jobs =
-    let config = { Hidap.Config.default with Hidap.Config.jobs } in
-    Obs.Perf.reset Obs.Perf.global;
-    Obs.Perf.set_enabled true;
-    Fun.protect
-      ~finally:(fun () -> Obs.Perf.set_enabled false)
-      (fun () ->
-        let r = Hidap.place ~config flat in
-        let counts = Obs.Perf.to_assoc Obs.Perf.global in
-        Obs.Perf.reset Obs.Perf.global;
-        (r, counts))
-  in
-  let base, counts1 = run 1 in
+  let base, counts1 = place_counting ~jobs:1 flat in
   List.iter
     (fun jobs ->
-      let r, counts = run jobs in
+      let r, counts = place_counting ~jobs flat in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d placement identical to jobs=1" jobs)
         true
@@ -309,6 +322,29 @@ let test_perf_merge_determinism () =
     (List.assoc "sa.accepts" counts1 + List.assoc "sa.rejects" counts1);
   Alcotest.(check bool) "instances counted" true
     (List.assoc "floorplan.instances" counts1 > 0)
+
+(* The fig1 work counters, pinned to the values the flow produced when
+   they still lived in a dedicated fixed-slot registry: moving them
+   into the metrics registry must not change what they count. sa.moves
+   covers every annealer run (shape curves included, calibration
+   excluded), so it exceeds [Hidap.result.sa_moves]. *)
+let test_work_counters_pinned () =
+  let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
+  let expected =
+    [ ("sa.moves", 307944); ("sa.accepts", 136634); ("sa.rejects", 171310);
+      ("sa.plateaus", 3507); ("sa.reheats", 21); ("cost.evals", 309099);
+      ("floorplan.instances", 7) ]
+  in
+  List.iter
+    (fun jobs ->
+      let r, counts = place_counting ~jobs flat in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "fig1 counters at jobs=%d" jobs)
+        expected counts;
+      Alcotest.(check int)
+        (Printf.sprintf "fig1 floorplan moves at jobs=%d" jobs)
+        299264 r.Hidap.sa_moves)
+    [ 1; 2 ]
 
 (* The sampler's collapsed-stack output: root-first stacks joined with
    ';', "(idle)" for an empty stack, sorted buckets, positive counts. *)
@@ -483,5 +519,7 @@ let suite =
           test_stream_emit_disable_race;
         Alcotest.test_case "perf counter merge determinism" `Slow
           test_perf_merge_determinism;
+        Alcotest.test_case "work counters pinned on fig1" `Slow
+          test_work_counters_pinned;
         Alcotest.test_case "tracing preserves determinism" `Slow
           test_place_determinism_under_tracing ] ) ]
